@@ -89,6 +89,10 @@ def main(argv: list[str] | None = None) -> int:
         }))
         if result.phase_failed:
             return EXIT_PHASE_FAIL
+        if result.rotation_stats.get("dropped"):
+            print(f"verification failure: {result.rotation_stats['dropped']} converted "
+                  "cycles failed the independent re-check", file=sys.stderr)
+            return EXIT_VERIFY_FAIL
         return EXIT_OK
 
     if args.cmd == "sweep":

@@ -78,7 +78,8 @@ class DecompositionResult:
 
 def _reverify(g0: Graph, cycles: list[list[int]]) -> list[list[int]]:
     """Independent audit at result construction: keep only cycles that pass
-    Hamiltonicity and pairwise edge-disjointness."""
+    Hamiltonicity and pairwise edge-disjointness.  ``run`` reports every
+    cycle left out as ``rotation_stats["dropped"]``."""
     good: list[list[int]] = []
     used: set[tuple[int, int]] = set()
     for cyc in cycles:
@@ -152,6 +153,7 @@ def run(
         "rotations": conv.total_rotations,
         "g2_consumed": conv.g2_consumed,
         "abandoned": sum(1 for o in conv.per_factor if o["outcome"] == "abandoned"),
+        "dropped": len(conv.hamilton_cycles) - len(verified),
         "audit_failures": conv.audit_failures,
     }
     return finish(
@@ -210,7 +212,9 @@ def verify_result(result_path: str, graph_path: str) -> dict:
 
     Re-parses the edge list directly and re-checks every cycle for
     Hamiltonicity, edge membership, and pairwise edge-disjointness without
-    touching the pipeline's own audit paths.
+    touching the pipeline's own audit paths.  The result's own claims must
+    agree with what is re-read: ``achieved_cycles`` with the number of
+    cycles and ``params.n`` with the graph's vertex count.
     """
     with open(result_path) as fh:
         doc = json.load(fh)
@@ -221,8 +225,12 @@ def verify_result(result_path: str, graph_path: str) -> dict:
     for ln in lines[1 : m + 1]:
         u, v = map(int, ln.split())
         edge_set.add((min(u, v), max(u, v)))
+    claimed_n = doc.get("params", {}).get("n")
+    if claimed_n != n:
+        return {"ok": False, "reason": f"params.n is {claimed_n} but the graph has {n} vertices"}
+    cycles = doc.get("hamilton_cycles", [])
     used: set[tuple[int, int]] = set()
-    for idx, cyc in enumerate(doc.get("hamilton_cycles", [])):
+    for idx, cyc in enumerate(cycles):
         if len(cyc) != n:
             missing = sorted(set(range(n)) - set(cyc))
             return {"ok": False, "cycle": idx,
@@ -238,4 +246,7 @@ def verify_result(result_path: str, graph_path: str) -> dict:
             if e in used:
                 return {"ok": False, "cycle": idx, "reason": f"edge {e} reused"}
             used.add(e)
-    return {"ok": True, "cycles": len(doc.get("hamilton_cycles", []))}
+    if doc.get("achieved_cycles") != len(cycles):
+        return {"ok": False, "reason": f"achieved_cycles is {doc.get('achieved_cycles')} "
+                                       f"but {len(cycles)} cycles are listed"}
+    return {"ok": True, "cycles": len(cycles)}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph import BrokenTwoFactor, Graph, cycle_cover_edges, norm_edge
 from .sampler import Params
@@ -35,14 +36,21 @@ class TranscriptRecord:
 
 
 class GammaView:
-    """Reservoir adjacency: host edges not in the committed set."""
+    """Reservoir adjacency: host edges not in the committed set.
+
+    The view keeps its own copy of the committed set.  ``take`` and
+    ``give`` move edges into and out of it and drop the cached neighbour
+    lists of the endpoints of the edges that moved, so one view can follow
+    a whole conversion.
+    """
 
     def __init__(self, host: Graph, committed: set[tuple[int, int]]):
         self.host = host
-        self.committed = committed
+        self.committed = set(committed)
         self._adj: list[list[int] | None] = [None] * host.n
 
     def adj(self, v: int) -> list[int]:
+        """Reservoir neighbours of v in ascending order."""
         cached = self._adj[v]
         if cached is None:
             cached = sorted(
@@ -57,6 +65,20 @@ class GammaView:
 
     def edge_set(self) -> set[tuple[int, int]]:
         return self.host.edges - self.committed
+
+    def take(self, edges) -> None:
+        """Commit edges: they leave the reservoir."""
+        for e in edges:
+            if e not in self.committed:
+                self.committed.add(e)
+                self._adj[e[0]] = self._adj[e[1]] = None
+
+    def give(self, edges) -> None:
+        """Release edges: they return to the reservoir."""
+        for e in edges:
+            if e in self.committed:
+                self.committed.remove(e)
+                self._adj[e[0]] = self._adj[e[1]] = None
 
 
 # -- elementary moves ---------------------------------------------------------
@@ -131,70 +153,139 @@ class Outcome:
     closing_edge: tuple[int, int] | None = None
 
 
+class _RotatedPath:
+    """A root path and the paths that rotations about its tail reach.
+
+    A reached path is named by its cuts: the indices at which its rotations
+    cut, in order.  A rotation at index i reverses the suffix after i, the
+    involution j -> last + i + 1 - j on j > i.  A vertex's position is its
+    root index mapped through the cuts in order, and the vertex at a
+    position is found by mapping the position back through them in reverse,
+    so each lookup costs O(depth) and no reached path is built unless
+    ``realize`` is asked for it.
+    """
+
+    def __init__(self, path: list[int]):
+        self.path = path
+        self.last = len(path) - 1
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Root position of each vertex; built on the first rotation, since
+        most searches end at the root."""
+        return {v: i for i, v in enumerate(self.path)}
+
+    def realize(self, cuts: tuple[int, ...]) -> list[int]:
+        """The path named by ``cuts``, built by copying."""
+        p = self.path
+        for i in cuts:
+            p = p[: i + 1] + p[: i : -1]
+        return p
+
+    def moves(
+        self,
+        cuts: tuple[int, ...],
+        touched: frozenset[int],
+        tail: int,
+        gamma: GammaView,
+        visited: set[int],
+    ):
+        """Yield (pivot, cut index, new tail) for each rotation of the path
+        named by ``cuts`` (with tail ``tail``) whose new tail is not in
+        ``visited``, in ascending pivot order.
+
+        ``touched`` holds the endpoints of every edge the rotations so far
+        deleted or added.  Any other vertex keeps its root neighbours, and a
+        new tail is always a neighbour of its pivot, so such a pivot whose
+        root neighbours are both visited is passed over without a lookup.
+        """
+        index, last, path = self.index, self.last, self.path
+        for pivot in gamma.adj(tail):
+            i = index.get(pivot)
+            if i is None:
+                continue
+            if (pivot not in touched
+                    and (i == 0 or path[i - 1] in visited)
+                    and (i == last or path[i + 1] in visited)):
+                continue
+            for c in cuts:
+                if i > c:
+                    i = last + c + 1 - i
+            if i == 0 or i >= last - 1:
+                continue
+            j = i + 1
+            for c in reversed(cuts):
+                if j > c:
+                    j = last + c + 1 - j
+            if path[j] not in visited:
+                yield pivot, i, path[j]
+
+
+# a BFS state: (cuts, rotation records, tail, touched vertices)
+_State = tuple[tuple[int, ...], list, int, frozenset[int]]
+
+
 def _grow_side(
-    path: list[int],
+    rooted: _RotatedPath,
     gamma: GammaView,
     offpath: set[int],
-    close_target: int | None,
     max_states: int,
     max_levels: int,
-) -> tuple[Outcome | None, Outcome | None, list[tuple[list[int], list]]]:
+) -> tuple[Outcome | None, Outcome | None, list[_State]]:
     """BFS over rotations of the tail with the head fixed.
 
-    Returns (extend_outcome, close_outcome, realized_states); the first
-    Extend aborts the search, the first Close is remembered.
+    Returns (extend_outcome, close_outcome, states); the first Extend aborts
+    the search, the first Close is remembered.  States stay implicit (see
+    ``_RotatedPath``); only outcomes carry a realized path.
     """
-    head = path[0]
-    visited = {path[-1]}
-    frontier: list[tuple[list[int], list]] = [(path, [])]
-    states = list(frontier)
-    close_found: Outcome | None = None
+    head = rooted.path[0]
+    closable = rooted.last >= 2
+    root: _State = ((), [], rooted.path[-1], frozenset())
+    visited = {root[2]}
+    frontier = [root]
+    states = [root]
 
-    def check(p: list[int], rots: list) -> tuple[Outcome | None, Outcome | None]:
-        tail = p[-1]
-        ext = close = None
+    def extend(state: _State) -> Outcome | None:
+        cuts, rots, tail, _ = state
         if offpath:
-            cand = [u for u in gamma.adj(tail) if u in offpath]
-            if cand:
-                ext = Outcome(kind="extend", path=p, rotations=rots, entry=min(cand))
-        if close_target is not None and gamma.has(tail, head) and len(p) >= 3:
-            close = Outcome(
-                kind="close", path=p, rotations=rots, closing_edge=norm_edge(tail, head)
-            )
-        return ext, close
+            entry = next((u for u in gamma.adj(tail) if u in offpath), None)
+            if entry is not None:
+                return Outcome(kind="extend", path=rooted.realize(cuts),
+                               rotations=rots, entry=entry)
+        return None
 
-    ext, close = check(path, [])
+    def close(state: _State) -> Outcome | None:
+        cuts, rots, tail, _ = state
+        if closable and gamma.has(tail, head):
+            return Outcome(kind="close", path=rooted.realize(cuts), rotations=rots,
+                           closing_edge=norm_edge(tail, head))
+        return None
+
+    ext = extend(root)
     if ext:
         return ext, None, states
-    if close and close_found is None:
-        close_found = close
+    close_found = close(root)
 
     level = 0
     while frontier and level < max_levels and len(states) < max_states:
         level += 1
-        nxt: list[tuple[list[int], list]] = []
-        for p, rots in frontier:
-            tail = p[-1]
-            pos = {v: i for i, v in enumerate(p)}
-            last = len(p) - 1
-            for pivot in gamma.adj(tail):
-                i = pos.get(pivot)
-                if i is None or i == 0 or i >= last - 1:
-                    continue
-                new_tail = p[i + 1]
-                if new_tail in visited:
-                    continue
+        nxt: list[_State] = []
+        for cuts, rots, tail, touched in frontier:
+            for pivot, i, new_tail in rooted.moves(cuts, touched, tail, gamma, visited):
                 visited.add(new_tail)
-                new_path = p[: i + 1] + p[: i : -1]
-                new_rots = rots + [(pivot, norm_edge(pivot, p[i + 1]), norm_edge(pivot, tail))]
-                ext, close = check(new_path, new_rots)
+                state = (
+                    cuts + (i,),
+                    rots + [(pivot, norm_edge(pivot, new_tail), norm_edge(pivot, tail))],
+                    new_tail,
+                    touched | {pivot, new_tail, tail},
+                )
+                ext = extend(state)
                 if ext:
                     return ext, close_found, states
-                if close and close_found is None:
-                    close_found = close
-                entry = (new_path, new_rots)
-                nxt.append(entry)
-                states.append(entry)
+                if close_found is None:
+                    close_found = close(state)
+                nxt.append(state)
+                states.append(state)
                 if len(states) >= max_states:
                     break
             if len(states) >= max_states:
@@ -218,21 +309,17 @@ def posa_search(
     """
     offpath = broken.offpath_vertices()
     spanning = not offpath
-    close_target = broken.path[0]
 
-    ext, close, states_a = _grow_side(
-        broken.path, gamma, offpath, close_target, max_states, max_levels
-    )
+    side_a = _RotatedPath(broken.path)
+    ext, close, states_a = _grow_side(side_a, gamma, offpath, max_states, max_levels)
     if ext:
         return ext
     if close and spanning:
         return close
     first_close = close
 
-    rev = broken.path[::-1]
-    ext, close_b, states_b = _grow_side(
-        rev, gamma, offpath, rev[0], max_states, max_levels
-    )
+    side_b = _RotatedPath(broken.path[::-1])
+    ext, close_b, _ = _grow_side(side_b, gamma, offpath, max_states, max_levels)
     if ext:
         return ext
     if close_b and spanning:
@@ -243,12 +330,9 @@ def posa_search(
     if spanning:
         # two-sided: re-anchor at each reachable endpoint and rotate the
         # opposite end of the realized path
-        for p, rots in states_a[:two_sided_cap]:
-            anchor = p[-1]
-            rp = p[::-1]
-            ext2, close2, _ = _grow_side(
-                rp, gamma, offpath, anchor, max_states, max_levels
-            )
+        for cuts, rots, _tail, _ in states_a[:two_sided_cap]:
+            rooted = _RotatedPath(side_a.realize(cuts)[::-1])
+            _, close2, _ = _grow_side(rooted, gamma, offpath, max_states, max_levels)
             if close2 is not None:
                 close2.rotations = rots + close2.rotations
                 return close2
@@ -265,11 +349,12 @@ def expansion_probe(
     initial-rotation milestone."""
     if len(path) < 3:
         return {"trivial": True, "levels": []}
-    on_path = set(path)
+    rooted = _RotatedPath(path)
+    on_path = rooted.index
     extend_available = False
     levels = []
     s_t = {path[-1]}
-    frontier: list[list[int]] = [list(path)]
+    frontier: list[tuple[tuple[int, ...], frozenset[int], int]] = [((), frozenset(), path[-1])]
     for _ in range(max_levels):
         bnd = set()
         for v in s_t:
@@ -279,22 +364,13 @@ def expansion_probe(
                 else:
                     extend_available = True
         bnd -= s_t
-        nxt: list[list[int]] = []
+        nxt: list[tuple[tuple[int, ...], frozenset[int], int]] = []
         new_endpoints = 0
-        for p in frontier:
-            tail = p[-1]
-            pos = {v: i for i, v in enumerate(p)}
-            last = len(p) - 1
-            for pivot in gamma.adj(tail):
-                i = pos.get(pivot)
-                if i is None or i == 0 or i >= last - 1:
-                    continue
-                cand = p[i + 1]
-                if cand in s_t:
-                    continue
+        for cuts, touched, tail in frontier:
+            for pivot, i, cand in rooted.moves(cuts, touched, tail, gamma, s_t):
                 s_t.add(cand)
                 new_endpoints += 1
-                nxt.append(p[: i + 1] + p[: i : -1])
+                nxt.append((cuts + (i,), touched | {pivot, cand, tail}, cand))
         lower = len(bnd) / 2 - (len(s_t) - new_endpoints)
         levels.append(
             {"s": len(s_t) - new_endpoints, "boundary": len(bnd),
@@ -364,6 +440,8 @@ def convert_all(
     transcripts: dict[int, list[TranscriptRecord]] = {}
     audit_failures: list[str] = []
     pending: set[int] = set(range(len(factors)))
+    # the one reservoir of the conversion; every pending factor is committed
+    gamma = GammaView(g0, set().union(*factor_edges))
     step = 0
     total_rot = 0
 
@@ -375,6 +453,7 @@ def convert_all(
         enforce_levels = max(1, int(2 * params.e0 + 2 * params.e1))
 
     def committed_edges(current: set[tuple[int, int]]) -> set[tuple[int, int]]:
+        """From scratch, for the audit: what the reservoir must exclude."""
         out = set(finished_edges)
         out |= current
         for i in pending:
@@ -398,16 +477,18 @@ def convert_all(
         transcript = [brec]
         transcripts[fi] = transcript
         fstar = broken.edges()
+        gamma.take(factor_edges[fi])
+        gamma.give([brec.deleted])
+        gamma_before = gamma.edge_set() if audit else None
         steps_here = rot_here = 0
         while True:
             step += 1
             steps_here += 1
-            gamma = GammaView(g0, committed_edges(fstar))
-            gamma_before = gamma.edge_set() if audit else None
             outcome = posa_search(
                 broken, gamma, max_states=max_states, max_levels=enforce_levels
             )
             if outcome.kind == "exhausted":
+                gamma.give(fstar)
                 per_factor.append(
                     {"factor": fi, "outcome": "abandoned", "steps": steps_here,
                      "rotations": rot_here, "pass": pass_no}
@@ -471,6 +552,8 @@ def convert_all(
                         if escape:
                             break
                     if escape is None:
+                        # the reservoir still holds this step's returned edges
+                        gamma.give(fstar | set(returned))
                         per_factor.append(
                             {"factor": fi, "outcome": "abandoned", "steps": steps_here,
                              "rotations": rot_here, "pass": pass_no, "deadend": True}
@@ -496,6 +579,11 @@ def convert_all(
                     fstar.discard(deleted)
                     consumed.append(added)
                     returned.append(deleted)
+            # the reservoir follows the step only now: the escape search
+            # above must see it as the step found it
+            touched = set(consumed) | set(returned)
+            gamma.take(e for e in touched if e in fstar)
+            gamma.give(e for e in touched if e not in fstar)
             consumed_net = [e for e in consumed if e not in returned]
             returned_net = [e for e in returned if e not in consumed]
             within = None
@@ -507,14 +595,20 @@ def convert_all(
                            cap=cap, within_cap=within)
             )
             if audit:
+                gamma_now = gamma.edge_set()
                 gamma_after = g0.edges - committed_edges(fstar if not done else set())
-                if gamma_before is not None:
-                    lost = gamma_before - gamma_after
-                    if lost != set(consumed_net):
-                        audit_failures.append(
-                            f"step {step}: untraceable reservoir consumption {lost ^ set(consumed_net)}"
-                        )
+                drift = gamma_now ^ gamma_after
+                if drift:
+                    audit_failures.append(
+                        f"step {step}: persistent reservoir differs from recomputation on {sorted(drift)}"
+                    )
+                lost = gamma_before - gamma_after
+                if lost != set(consumed_net):
+                    audit_failures.append(
+                        f"step {step}: untraceable reservoir consumption {lost ^ set(consumed_net)}"
+                    )
                 run_audit(fstar if not done else set(), gamma_after)
+                gamma_before = gamma_now
             if done:
                 return True
 
@@ -522,14 +616,11 @@ def convert_all(
     for fi in range(len(factors)):
         if not attempt(fi, pass_no=1):
             abandoned.append(fi)
-    retry = []
     for fi in abandoned:
-        # retry only if the original factor's edges are all free again
-        free = g0.edges - committed_edges(set())
-        if factor_edges[fi] <= free:
-            retry.append(fi)
-    for fi in retry:
-        attempt(fi, pass_no=2)
+        # retry only if the original factor's edges are all free again;
+        # checked per factor, since an earlier retry may have used them
+        if all(gamma.has(u, v) for u, v in factor_edges[fi]):
+            attempt(fi, pass_no=2)
 
     g2_consumed = len(g2.edges & finished_edges)
     return ConversionResult(

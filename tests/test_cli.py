@@ -3,9 +3,10 @@ serialization formats, and exit codes."""
 import csv
 import json
 
-from hamdecomp.cli import main
+from hamdecomp import harness
+from hamdecomp.cli import EXIT_VERIFY_FAIL, main
 from hamdecomp.graph import Graph
-from hamdecomp.harness import CSV_HEADER, run, sweep, verify_result
+from hamdecomp.harness import CSV_HEADER, _reverify, run, sweep, verify_result
 from hamdecomp.sampler import Params
 
 
@@ -40,6 +41,45 @@ class TestRun:
         doc = json.loads(out.read_text())
         assert doc["phase_failed"] == "extract"
         assert doc["achieved_cycles"] == 0
+
+
+def _convert_with_bad_cycles(monkeypatch):
+    """Make conversion hand back one corrupted and one duplicated cycle
+    after the real ones."""
+    real = harness.convert_all
+
+    def convert(*args, **kwargs):
+        conv = real(*args, **kwargs)
+        good = conv.hamilton_cycles[0]
+        conv.hamilton_cycles += [good[:-1] + [good[0]], list(good)]
+        return conv
+
+    monkeypatch.setattr(harness, "convert_all", convert)
+
+
+class TestDroppedCycles:
+    def test_reverify_drops_corrupted_and_duplicated_cycles(self):
+        g0 = Graph.complete(5)
+        first, second = [0, 1, 2, 3, 4], [0, 2, 4, 1, 3]
+        corrupted = [0, 1, 2, 3, 0]
+        kept = _reverify(g0, [first, corrupted, list(first), second])
+        assert kept == [first, second]
+
+    def test_run_counts_dropped_cycles(self, monkeypatch):
+        _convert_with_bad_cycles(monkeypatch)
+        result = run(Params(n=40, p0=0.9, eta=0.3, seed=1))
+        assert result.rotation_stats["dropped"] == 2
+        assert result.achieved_cycles == len(result.conversion.hamilton_cycles) - 2
+
+    def test_clean_run_drops_nothing(self):
+        assert run(Params(n=40, p0=0.9, eta=0.3, seed=1)).rotation_stats["dropped"] == 0
+
+    def test_cli_run_fails_verification_on_a_drop(self, monkeypatch, tmp_path, capsys):
+        _convert_with_bad_cycles(monkeypatch)
+        code = main(["run", "--n", "40", "--p0", "0.9", "--eta", "0.3",
+                     "--seed", "1", "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_VERIFY_FAIL
+        assert "2 converted cycles" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -97,6 +137,24 @@ class TestVerify:
         verdict = verify_result(str(out), str(graph_out))
         assert not verdict["ok"]
         assert "missing" in verdict["reason"]
+
+    def test_detects_cycle_count_mismatch(self, tmp_path):
+        out, graph_out = self._fixture(tmp_path)
+        doc = json.loads(out.read_text())
+        doc["achieved_cycles"] += 1
+        out.write_text(json.dumps(doc))
+        verdict = verify_result(str(out), str(graph_out))
+        assert not verdict["ok"]
+        assert "achieved_cycles" in verdict["reason"]
+
+    def test_detects_vertex_count_mismatch(self, tmp_path):
+        out, graph_out = self._fixture(tmp_path)
+        doc = json.loads(out.read_text())
+        doc["params"]["n"] += 1
+        out.write_text(json.dumps(doc))
+        verdict = verify_result(str(out), str(graph_out))
+        assert not verdict["ok"]
+        assert "params.n" in verdict["reason"]
 
     def test_detects_non_edge(self, tmp_path):
         out, graph_out = self._fixture(tmp_path)

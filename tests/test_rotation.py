@@ -1,8 +1,13 @@
 """Rotation engine: elementary moves, the search, conversion, and replay."""
+import hashlib
+import json
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamdecomp.factors import extract_with_retry
-from hamdecomp.graph import BrokenTwoFactor, Graph, path_edges
+from hamdecomp.graph import BrokenTwoFactor, Graph, norm_edge, path_edges
 from hamdecomp.rotation import (
     GammaView,
     absorb_cycle,
@@ -22,6 +27,26 @@ TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 def two_triangle_fixture(gamma_edges):
     g0 = Graph(6, TRIANGLES + list(gamma_edges))
     return g0, [[[0, 1, 2], [3, 4, 5]]]
+
+
+def random_broken(n, seed, q):
+    """A random path plus leftover cycles on vertices 0..n-1, and the
+    reservoir of a host that adds each other pair with probability q."""
+    rnd = random.Random(seed)
+    order = list(range(n))
+    rnd.shuffle(order)
+    k = rnd.choice([n, rnd.randint(2, n)])
+    path, rest = order[:k], order[k:]
+    cycles = []
+    while len(rest) >= 3:
+        size = len(rest) if len(rest) < 6 else rnd.randint(3, len(rest) - 3)
+        cycles.append(rest[:size])
+        rest = rest[size:]
+    broken = BrokenTwoFactor(n=n, cycles=cycles, path=path + rest)
+    edges = broken.edges() | {
+        (u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < q
+    }
+    return broken, GammaView(Graph(n, edges), broken.edges())
 
 
 class TestBreakToPath:
@@ -134,6 +159,56 @@ class TestPosaSearch:
         assert host.has_edge(p[0], p[-1])
         assert sorted(p) == list(range(5))
 
+    @given(st.integers(min_value=5, max_value=30), st.integers(min_value=0, max_value=10**6),
+           st.sampled_from([0.1, 0.25, 0.5]), st.sampled_from([(3, 1), (20, 3), (2000, 64)]))
+    @settings(max_examples=150, deadline=None)
+    def test_outcome_path_is_its_rotations_applied(self, n, seed, q, limits):
+        # every outcome's path must be the original path with its rotations
+        # replayed in order, each acting at the end its added edge touches
+        broken, gamma = random_broken(n, seed, q)
+        path = broken.path
+        max_states, max_levels = limits
+        outcome = posa_search(broken, gamma, max_states=max_states, max_levels=max_levels)
+        if outcome.kind == "exhausted":
+            return
+        p = list(path)
+        for pivot, deleted, added in outcome.rotations:
+            assert gamma.has(*added)
+            endpoint = added[0] if added[1] == pivot else added[1]
+            if p[0] == endpoint:
+                p = p[::-1]
+            p, d, a = rotate(p, pivot)
+            assert (d, a) == (deleted, added)
+        assert p == outcome.path or (not outcome.rotations and p[::-1] == outcome.path)
+        tail = outcome.path[-1]
+        if outcome.kind == "extend":
+            assert gamma.has(tail, outcome.entry) and outcome.entry not in path
+        else:
+            assert outcome.closing_edge == norm_edge(tail, outcome.path[0])
+            assert gamma.has(*outcome.closing_edge)
+
+
+def explicit_endpoint_sizes(path, gamma, max_levels=16):
+    """Size of the set of reachable tails after each level of rotations,
+    found with explicit path copies."""
+    seen = {path[-1]}
+    frontier = [path]
+    sizes = []
+    for _ in range(max_levels):
+        nxt = []
+        for p in frontier:
+            for pivot in gamma.adj(p[-1]):
+                if pivot in p and 1 <= p.index(pivot) <= len(p) - 3:
+                    rotated = rotate(p, pivot)[0]
+                    if rotated[-1] not in seen:
+                        seen.add(rotated[-1])
+                        nxt.append(rotated)
+        sizes.append(len(seen))
+        if not nxt:
+            break
+        frontier = nxt
+    return sizes
+
 
 class TestExpansionProbe:
     def test_trivial_short_path(self):
@@ -148,6 +223,20 @@ class TestExpansionProbe:
         report = expansion_probe(path, gamma)
         assert not report["trivial"]
         assert all(lvl["inequality_holds"] for lvl in report["levels"])
+
+    def test_endpoint_sets_match_explicit_rotations(self):
+        # reference: the same level-by-level search over explicit path copies
+        # made by the elementary move; a wrong shortcut in the implicit
+        # search shows on a few percent of these instances
+        for n in range(5, 31):
+            for q in (0.1, 0.25, 0.5):
+                for seed in range(20):
+                    broken, gamma = random_broken(n, seed, q)
+                    if len(broken.path) < 3:
+                        continue
+                    report = expansion_probe(broken.path, gamma)
+                    sizes = [lvl["s_next"] for lvl in report["levels"]]
+                    assert sizes == explicit_endpoint_sizes(broken.path, gamma), (n, q, seed)
 
     def test_extend_availability_flagged(self):
         g0, _ = two_triangle_fixture([(1, 3)])
@@ -232,6 +321,76 @@ class TestConvertAll:
             es = path_edges(cyc) | {(min(cyc[0], cyc[-1]), max(cyc[0], cyc[-1]))}
             assert not (es & used)
             used |= es
+
+
+class TestPersistentReservoir:
+    def test_take_and_give_track_the_committed_set(self):
+        host = Graph.complete(5)
+        gamma = GammaView(host, {(0, 1)})
+        assert gamma.adj(0) == [2, 3, 4]
+        gamma.take([(0, 2), (0, 3)])
+        assert gamma.adj(0) == [4] and gamma.adj(2) == [1, 3, 4]
+        gamma.give([(0, 1), (0, 3)])
+        assert gamma.adj(0) == [1, 3, 4]
+        assert gamma.edge_set() == host.edges - {(0, 2)}
+
+    def test_constructor_copies_the_committed_set(self):
+        host = Graph.complete(4)
+        gamma = GammaView(host, host.edges)
+        gamma.give([(0, 1)])
+        assert (0, 1) in host.edges
+        assert gamma.has(0, 1)
+
+    def test_audit_catches_a_reservoir_that_stops_following(self, monkeypatch):
+        # a reservoir that never gets edges back drifts from the from-scratch
+        # recomputation; the audit must say so
+        params = Params(n=60, p0=0.6, eta=0.3, seed=4)
+        s = split(sample_gnp(params.n, params.p0, params.seed), params)
+        f, r = extract_with_retry(s.g1, params.r1)
+        tf = peel_all(f, r)
+        monkeypatch.setattr(GammaView, "give", lambda self, edges: None)
+        conv = convert_all(tf.factors, s.g0, s.g2, params, audit=True)
+        assert any("persistent reservoir" in msg for msg in conv.audit_failures)
+
+    def test_retry_skips_a_factor_an_earlier_retry_used(self):
+        # here two factors are abandoned and the first retry finishes with
+        # edges of the second; retrying the second would break edge
+        # conservation, so it must not be attempted
+        params = Params(n=56, p0=0.4, eta=0.5, seed=186597)
+        s = split(sample_gnp(params.n, params.p0, params.seed), params)
+        f, r = extract_with_retry(s.g1, params.r1)
+        tf = peel_all(f, r)
+        conv = convert_all(tf.factors, s.g0, s.g2, params, mode="enforce", audit=True,
+                           max_states=2, max_levels=1)
+        assert conv.audit_failures == []
+        assert [o["factor"] for o in conv.per_factor if o["pass"] == 2] == [3]
+
+
+# SHA-256 of the Hamilton cycles and transcripts of convert_all at n=120,
+# p0=0.5, eta=0.05, recorded before the rotation search and the reservoir
+# became incremental; seeds 4 and 5 reach the second side of the search.
+CONVERSION_DIGESTS = {
+    3: "6c3c876fcefe061ae3b2dab87848634e04acae58e48542d4f2055eae89e449ae",
+    4: "9c5a479e3d440a0ad486ecac38fe0e1e6c262281d44a01f94320fa6dc03a50b3",
+    5: "e67fcbce52abede52ef290a0f1d4e5784cd0d6e3ab45af8fcede365bf495320d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CONVERSION_DIGESTS))
+def test_conversion_digest_pinned(seed):
+    params = Params(n=120, p0=0.5, eta=0.05, seed=seed)
+    s = split(sample_gnp(params.n, params.p0, params.seed), params)
+    f, r = extract_with_retry(s.g1, params.r1)
+    tf = peel_all(f, r)
+    conv = convert_all(tf.factors, s.g0, s.g2, params)
+    doc = {
+        "cycles": conv.hamilton_cycles,
+        "transcripts": [
+            [rec.to_json_obj() for rec in conv.transcripts[fi]] for fi in sorted(conv.transcripts)
+        ],
+    }
+    digest = hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+    assert digest == CONVERSION_DIGESTS[seed]
 
 
 class TestReplayValidation:
