@@ -89,11 +89,17 @@ def main(argv: list[str] | None = None) -> int:
         }))
         if result.phase_failed:
             return EXIT_PHASE_FAIL
+        failures = []
         if result.rotation_stats.get("dropped"):
-            print(f"verification failure: {result.rotation_stats['dropped']} converted "
-                  "cycles failed the independent re-check", file=sys.stderr)
-            return EXIT_VERIFY_FAIL
-        return EXIT_OK
+            failures.append(f"verification failure: {result.rotation_stats['dropped']} "
+                            "converted cycles failed the independent re-check")
+        audit_failures = result.rotation_stats.get("audit_failures")
+        if audit_failures:
+            failures.append(f"audit failure: {len(audit_failures)} conversion audit checks "
+                            f"failed, the first: {audit_failures[0]}")
+        for msg in failures:
+            print(msg, file=sys.stderr)
+        return EXIT_VERIFY_FAIL if failures else EXIT_OK
 
     if args.cmd == "sweep":
         try:

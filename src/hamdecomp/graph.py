@@ -30,6 +30,20 @@ class Graph:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
+    def from_pairs(cls, n: int, pairs: list[tuple[int, int]]) -> "Graph":
+        """Graph whose edges are ``pairs``: distinct (u, v) with
+        0 <= u < v < n, which are not checked.  They are inserted in the
+        given order, so the graph is the one ``add_edge`` would build from
+        them, down to the iteration order of its sets."""
+        g = cls(n)
+        adj = g._adj
+        for u, v in pairs:
+            adj[u].add(v)
+            adj[v].add(u)
+        g._edges = set(pairs)
+        return g
+
+    @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import time
+import traceback
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -175,13 +176,14 @@ def run(
     )
 
 
-def _sweep_cell(args) -> list:
+def _sweep_cell(args) -> tuple[list, str | None]:
+    """One sweep cell: its CSV row, and the traceback when it raised."""
     params, mode = args
     try:
-        return run(params, mode=mode).csv_row()
+        return run(params, mode=mode).csv_row(), None
     except Exception as exc:  # partial failures recorded per row
-        return [params.n, params.p0, params.eta, params.seed,
-                "error", str(exc), "", "", "", "", "", "", ""]
+        return ([params.n, params.p0, params.eta, params.seed,
+                 "error", str(exc), "", "", "", "", "", "", ""], traceback.format_exc())
 
 
 def sweep(
@@ -197,13 +199,21 @@ def sweep(
     ]
     if jobs > 1:
         with Pool(jobs) as pool:
-            rows = pool.map(_sweep_cell, cells)
+            results = pool.map(_sweep_cell, cells)
     else:
-        rows = [_sweep_cell(c) for c in cells]
+        results = [_sweep_cell(c) for c in cells]
+    rows = [row for row, _ in results]
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
         w.writerows(rows)
+    errors = [(params, tb) for (params, _), (_, tb) in zip(cells, results) if tb]
+    if errors:
+        # the CSV keeps one line per failed cell; the causes go beside it
+        with open(out_path + ".errors.txt", "w") as fh:
+            for params, tb in errors:
+                fh.write(f"# n={params.n} p0={params.p0} eta={params.eta} "
+                         f"seed={params.seed}\n{tb}\n")
     return rows
 
 

@@ -63,9 +63,6 @@ class GammaView:
         e = norm_edge(u, v)
         return e in self.host.edges and e not in self.committed
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return self.host.edges - self.committed
-
     def take(self, edges) -> None:
         """Commit edges: they leave the reservoir."""
         for e in edges:
@@ -452,23 +449,43 @@ def convert_all(
     if mode == "enforce" and params.budgets_defined:
         enforce_levels = max(1, int(2 * params.e0 + 2 * params.e1))
 
-    def committed_edges(current: set[tuple[int, int]]) -> set[tuple[int, int]]:
-        """From scratch, for the audit: what the reservoir must exclude."""
-        out = set(finished_edges)
-        out |= current
+    def audit_step(
+        current: set[tuple[int, int]],
+        committed_before: set[tuple[int, int]],
+        consumed: list[tuple[int, int]],
+        returned: list[tuple[int, int]],
+    ) -> set[tuple[int, int]]:
+        """Check the step against the committed set recomputed from scratch;
+        the reservoir is G0 minus that set, so no G0-sized set is built.
+        Returns the snapshot of the persistent committed set for the next
+        step."""
+        recomputed = set(finished_edges)
+        recomputed |= current
         for i in pending:
-            out |= factor_edges[i]
-        return out
-
-    def run_audit(current: set[tuple[int, int]], gamma_edges: set[tuple[int, int]]) -> None:
-        parts = [finished_edges, current, gamma_edges]
-        fut = set()
-        for i in pending:
-            fut |= factor_edges[i]
-        parts.append(fut)
-        union = set().union(*parts)
-        if union != g0.edges or sum(len(p) for p in parts) != len(g0.edges):
+            recomputed |= factor_edges[i]
+        in_sync = gamma.committed == recomputed
+        if not in_sync:
+            drift = sorted(e for e in gamma.committed ^ recomputed if e in g0.edges)
+            if drift:
+                audit_failures.append(
+                    f"step {step}: persistent reservoir differs from recomputation on {drift}"
+                )
+        gained, consumed_set = recomputed - committed_before, set(consumed)
+        if gained != consumed_set:
+            audit_failures.append(
+                f"step {step}: untraceable reservoir consumption {sorted(gained ^ consumed_set)}"
+            )
+        freed, returned_set = committed_before - recomputed, set(returned)
+        if freed != returned_set:
+            audit_failures.append(
+                f"step {step}: untraceable reservoir return {sorted(freed ^ returned_set)}"
+            )
+        # finished, current, the pending factors and G0 minus the committed
+        # set partition G0
+        sizes = len(finished_edges) + len(current) + sum(len(factor_edges[i]) for i in pending)
+        if sizes != len(recomputed) or not recomputed <= g0.edges:
             audit_failures.append(f"edge conservation broken at step {step}")
+        return recomputed if in_sync else set(gamma.committed)
 
     def attempt(fi: int, pass_no: int) -> bool:
         nonlocal step, total_rot
@@ -479,7 +496,7 @@ def convert_all(
         fstar = broken.edges()
         gamma.take(factor_edges[fi])
         gamma.give([brec.deleted])
-        gamma_before = gamma.edge_set() if audit else None
+        committed_before = set(gamma.committed) if audit else None
         steps_here = rot_here = 0
         while True:
             step += 1
@@ -595,20 +612,8 @@ def convert_all(
                            cap=cap, within_cap=within)
             )
             if audit:
-                gamma_now = gamma.edge_set()
-                gamma_after = g0.edges - committed_edges(fstar if not done else set())
-                drift = gamma_now ^ gamma_after
-                if drift:
-                    audit_failures.append(
-                        f"step {step}: persistent reservoir differs from recomputation on {sorted(drift)}"
-                    )
-                lost = gamma_before - gamma_after
-                if lost != set(consumed_net):
-                    audit_failures.append(
-                        f"step {step}: untraceable reservoir consumption {lost ^ set(consumed_net)}"
-                    )
-                run_audit(fstar if not done else set(), gamma_after)
-                gamma_before = gamma_now
+                committed_before = audit_step(fstar if not done else set(), committed_before,
+                                              consumed_net, returned_net)
             if done:
                 return True
 

@@ -23,6 +23,15 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
 
 
+def _uniforms(rng: np.random.Generator):
+    """The doubles of ``rng.random()`` called once per item, drawn 4096 at
+    a time (an array draw returns the same doubles as that many scalar
+    draws).  Each stream belongs to one sample or split, so the unused end
+    of the last chunk changes nothing."""
+    while True:
+        yield from rng.random(4096).tolist()
+
+
 @dataclass(frozen=True)
 class Params:
     """Run parameters plus every derived quantity used by the pipeline."""
@@ -117,18 +126,17 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Sample G(n,p) by geometric skipping over the C(n,2) pair sequence."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p={p} outside [0,1]")
-    g = Graph(n)
     if n < 2 or p == 0.0:
-        return g
+        return Graph(n)
     if p == 1.0:
         return Graph.complete(n)
-    rng = _rng(seed, STREAM_SAMPLE)
     logq = math.log1p(-p)
+    pairs: list[tuple[int, int]] = []
     # cursor: last visited pair is (u, v); (0, 0) is the virtual start
     u, v = 0, 0
-    while True:
+    for x in _uniforms(_rng(seed, STREAM_SAMPLE)):
         # geometric skip: number of pairs to jump ahead (>= 1)
-        skip = 1 + int(math.log(1.0 - rng.random()) / logq)
+        skip = 1 + int(math.log(1.0 - x) / logq)
         while skip > 0 and u < n - 1:
             row_left = n - 1 - v  # pairs remaining in row u past column v
             if skip <= row_left:
@@ -140,19 +148,20 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
                 v = u  # virtual position before (u, u+1)
         if u >= n - 1:
             break
-        g.add_edge(u, v)
-    return g
+        pairs.append((u, v))
+    return Graph.from_pairs(n, pairs)
 
 
 def split(g0: Graph, params: Params, seed: int | None = None) -> SplitSample:
     """Partition g0's edges: each goes to g1 with probability 1 - eta/4."""
     rng = _rng(params.seed if seed is None else seed, STREAM_SPLIT)
     keep = 1.0 - params.eta / 4.0
-    g1 = Graph(g0.n)
-    g2 = Graph(g0.n)
-    for u, v in sorted(g0.edges):
-        (g1 if rng.random() < keep else g2).add_edge(u, v)
-    return SplitSample(g0=g0, g1=g1, g2=g2, params=params)
+    to_g1: list[tuple[int, int]] = []
+    to_g2: list[tuple[int, int]] = []
+    for e, x in zip(sorted(g0.edges), _uniforms(rng)):
+        (to_g1 if x < keep else to_g2).append(e)
+    return SplitSample(g0=g0, g1=Graph.from_pairs(g0.n, to_g1),
+                       g2=Graph.from_pairs(g0.n, to_g2), params=params)
 
 
 def degree_diagnostics(s: SplitSample) -> dict:

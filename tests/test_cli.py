@@ -7,6 +7,7 @@ from hamdecomp import harness
 from hamdecomp.cli import EXIT_VERIFY_FAIL, main
 from hamdecomp.graph import Graph
 from hamdecomp.harness import CSV_HEADER, _reverify, run, sweep, verify_result
+from hamdecomp.rotation import GammaView
 from hamdecomp.sampler import Params
 
 
@@ -82,6 +83,22 @@ class TestDroppedCycles:
         assert "2 converted cycles" in capsys.readouterr().err
 
 
+class TestAuditExit:
+    ARGS = ["run", "--n", "40", "--p0", "0.9", "--eta", "0.3", "--seed", "1", "--audit"]
+
+    def test_clean_audited_run_passes(self, capsys):
+        assert main(self.ARGS) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_cli_run_fails_when_the_audit_fails(self, monkeypatch, capsys):
+        # a reservoir that never gets edges back drifts from the audit's
+        # recomputation
+        monkeypatch.setattr(GammaView, "give", lambda self, edges: None)
+        assert main(self.ARGS) == EXIT_VERIFY_FAIL
+        err = capsys.readouterr().err
+        assert "audit failure" in err and "persistent reservoir differs" in err
+
+
 class TestSweep:
     def test_csv_shape(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -94,6 +111,28 @@ class TestSweep:
         assert header == CSV_HEADER
         assert len(body) == 2
         assert body[0][0] == "40"
+
+    def test_failed_cell_keeps_its_traceback(self, monkeypatch, tmp_path):
+        real = harness.run
+
+        def run_or_raise(params, mode="report"):
+            if params.seed == 1:
+                raise RuntimeError("cell exploded")
+            return real(params, mode=mode)
+
+        monkeypatch.setattr(harness, "run", run_or_raise)
+        out = tmp_path / "sweep.csv"
+        rows = sweep([Params(n=40, p0=0.8, eta=0.3, seed=0)], 2, str(out))
+        assert rows[1][4:6] == ["error", "cell exploded"]
+        with open(out) as fh:
+            assert next(csv.reader(fh)) == CSV_HEADER
+        errors = (tmp_path / "sweep.csv.errors.txt").read_text()
+        assert errors.startswith("# n=40 p0=0.8 eta=0.3 seed=1\nTraceback")
+        assert "in run_or_raise" in errors and "RuntimeError: cell exploded" in errors
+
+    def test_clean_sweep_writes_no_error_file(self, tmp_path):
+        sweep([Params(n=40, p0=0.8, eta=0.3, seed=0)], 1, str(tmp_path / "s.csv"))
+        assert not (tmp_path / "s.csv.errors.txt").exists()
 
     def test_empty_grid_rejected(self, tmp_path):
         import pytest

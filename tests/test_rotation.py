@@ -1,7 +1,10 @@
 """Rotation engine: elementary moves, the search, conversion, and replay."""
+import ast
 import hashlib
+import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,7 +335,7 @@ class TestPersistentReservoir:
         assert gamma.adj(0) == [4] and gamma.adj(2) == [1, 3, 4]
         gamma.give([(0, 1), (0, 3)])
         assert gamma.adj(0) == [1, 3, 4]
-        assert gamma.edge_set() == host.edges - {(0, 2)}
+        assert gamma.committed == {(0, 2)}
 
     def test_constructor_copies_the_committed_set(self):
         host = Graph.complete(4)
@@ -391,6 +394,104 @@ def test_conversion_digest_pinned(seed):
     }
     digest = hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
     assert digest == CONVERSION_DIGESTS[seed]
+
+
+# The audit's verdicts with the persistent reservoir broken on purpose, at
+# n=60, p0=0.6, eta=0.3: for each run, the steps at which each of the three
+# original audit checks reported, recorded before the audit was rewritten to
+# build one committed set from scratch per step.
+AUDIT_KINDS = {
+    "persistent reservoir differs": "drift",
+    "untraceable reservoir consumption": "consumption",
+    "edge conservation broken": "conservation",
+}
+AUDIT_VERDICTS = {
+    (0, "none"): {},
+    (0, "give_off"): {"drift": "1-33,35,37-38"},
+    (0, "take_off"): {"drift": "1-39", "consumption": "2-39"},
+    (0, "give_drop7"): {"drift": "6-39"},
+    (1, "none"): {},
+    (1, "give_off"): {"drift": "1-40"},
+    (1, "take_off"): {"drift": "1-40", "consumption": "2-40", "conservation": "13,20,34"},
+    (1, "give_drop7"): {"drift": "6-40"},
+    (2, "none"): {},
+    (2, "give_off"): {"drift": "1-31"},
+    (2, "take_off"): {"drift": "1-31", "consumption": "2-31", "conservation": "11-14"},
+    (2, "give_drop7"): {"drift": "5-31"},
+    (3, "none"): {},
+    (3, "give_off"): {"drift": "1-43"},
+    (3, "take_off"): {"drift": "1-43", "consumption": "2-43", "conservation": "32"},
+    (3, "give_drop7"): {"drift": "12-43"},
+}
+
+
+def reservoir_fault(name):
+    """GammaView methods that replace the real ones for fault ``name``."""
+    real_give = GammaView.give
+    calls = itertools.count(1)
+
+    def give_all_but_every_7th(self, edges):
+        if next(calls) % 7:
+            real_give(self, edges)
+
+    return {
+        "none": {},
+        "give_off": {"give": lambda self, edges: None},
+        "take_off": {"take": lambda self, edges: None},
+        "give_drop7": {"give": give_all_but_every_7th},
+    }[name]
+
+
+def expand_steps(spec):
+    """'1-3,7' -> [1, 2, 3, 7]"""
+    out = []
+    for part in filter(None, spec.split(",")):
+        lo, _, hi = part.partition("-")
+        out.extend(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+@pytest.mark.parametrize("seed,fault", sorted(AUDIT_VERDICTS))
+def test_audit_verdicts_under_faults_pinned(seed, fault, monkeypatch):
+    params = Params(n=60, p0=0.6, eta=0.3, seed=seed)
+    s = split(sample_gnp(params.n, params.p0, params.seed), params)
+    f, r = extract_with_retry(s.g1, params.r1)
+    tf = peel_all(f, r)
+    for attr, method in reservoir_fault(fault).items():
+        monkeypatch.setattr(GammaView, attr, method)
+    conv = convert_all(tf.factors, s.g0, s.g2, params, audit=True)
+    got = []
+    for msg in conv.audit_failures:
+        kind = next((k for text, k in AUDIT_KINDS.items() if text in msg), None)
+        if kind is not None:
+            got.append((int(re.search(r"step (\d+)", msg).group(1)), kind))
+    # one step's messages come in the order the checks run
+    order = list(AUDIT_KINDS.values())
+    expected = sorted(
+        ((step, kind) for kind, spec in AUDIT_VERDICTS[seed, fault].items()
+         for step in expand_steps(spec)),
+        key=lambda sk: (sk[0], order.index(sk[1])),
+    )
+    assert got == expected
+    if fault == "none":
+        assert conv.audit_failures == []
+
+
+def test_audit_traces_returned_edges(monkeypatch):
+    # a reservoir that never gets edges back still holds what each step
+    # released; the return check names those edges, in sorted order
+    params = Params(n=60, p0=0.6, eta=0.3, seed=0)
+    s = split(sample_gnp(params.n, params.p0, params.seed), params)
+    f, r = extract_with_retry(s.g1, params.r1)
+    tf = peel_all(f, r)
+    monkeypatch.setattr(GammaView, "give", lambda self, edges: None)
+    conv = convert_all(tf.factors, s.g0, s.g2, params, audit=True)
+    returns = [msg for msg in conv.audit_failures if "untraceable reservoir return" in msg]
+    steps = [int(re.search(r"step (\d+)", msg).group(1)) for msg in returns]
+    assert steps == expand_steps("1-33,35,37-38")
+    for msg in returns:
+        edges = [tuple(e) for e in ast.literal_eval(msg[msg.index("["):])]
+        assert edges and edges == sorted(edges)
 
 
 class TestReplayValidation:

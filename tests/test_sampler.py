@@ -2,11 +2,14 @@
 and the preflight diagnostics."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamdecomp.graph import Graph
 from hamdecomp.sampler import (
+    STREAM_SAMPLE,
+    STREAM_SPLIT,
     Params,
     degree_diagnostics,
     deviation_spotcheck,
@@ -188,3 +191,60 @@ class TestDiagnostics:
     def test_spotcheck_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             deviation_spotcheck(Graph.complete(5), 1.0, 0, seed=0)
+
+
+def scalar_rng(seed, stream):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
+
+
+def scalar_sample_gnp(n, p, seed):
+    """Reference: one scalar draw per geometric skip, one add_edge per edge."""
+    g = Graph(n)
+    rng = scalar_rng(seed, STREAM_SAMPLE)
+    logq = math.log1p(-p)
+    u, v = 0, 0
+    while True:
+        skip = 1 + int(math.log(1.0 - rng.random()) / logq)
+        while skip > 0 and u < n - 1:
+            row_left = n - 1 - v
+            if skip <= row_left:
+                v += skip
+                skip = 0
+            else:
+                skip -= row_left
+                u += 1
+                v = u
+        if u >= n - 1:
+            return g
+        g.add_edge(u, v)
+
+
+def scalar_split(g0, params):
+    """Reference: one scalar draw per edge in sorted order."""
+    rng = scalar_rng(params.seed, STREAM_SPLIT)
+    keep = 1.0 - params.eta / 4.0
+    g1, g2 = Graph(g0.n), Graph(g0.n)
+    for u, v in sorted(g0.edges):
+        (g1 if rng.random() < keep else g2).add_edge(u, v)
+    return g1, g2
+
+
+def same_graph(a, b):
+    """Equal edge sets, and every set iterates in the same order."""
+    return (a == b and list(a.edges) == list(b.edges)
+            and all(list(a.adj(v)) == list(b.adj(v)) for v in range(a.n)))
+
+
+@pytest.mark.parametrize("n,p", [
+    (2, 0.5), (3, 0.999), (17, 0.3), (90, 0.05), (150, 0.6), (300, 0.999), (1200, 1e-4),
+])
+def test_batched_draws_match_scalar_draws(n, p):
+    # the larger cases draw past the first chunk of doubles
+    for seed in range(3):
+        g0 = sample_gnp(n, p, seed)
+        assert same_graph(g0, scalar_sample_gnp(n, p, seed))
+        for eta in (0.05, 0.5, 0.95):
+            params = Params(n=n, p0=p, eta=eta, seed=seed)
+            s = split(g0, params)
+            g1, g2 = scalar_split(g0, params)
+            assert same_graph(s.g1, g1) and same_graph(s.g2, g2)
