@@ -36,8 +36,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", default=None, help="result JSON path")
     p_run.add_argument("--graph-out", default=None, help="edge-list export path")
     p_run.add_argument("--floor-r", type=int, default=2)
-    p_run.add_argument("--max-retries", type=int, default=None,
-                       help="cap on downward r retries during extraction")
     p_run.add_argument("--audit", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
@@ -71,14 +69,8 @@ def main(argv: list[str] | None = None) -> int:
         graph_out = args.graph_out
         if graph_out is None and args.out:
             graph_out = args.out + ".graph.txt"
-        floor_r = args.floor_r
-        if args.max_retries is not None:
-            if args.max_retries < 0:
-                print("parameter error: --max-retries must be >= 0", file=sys.stderr)
-                return EXIT_PARAM_ERROR
-            floor_r = max(floor_r, params.r1 - 2 * args.max_retries)
         result = harness.run(params, mode=args.mode, out_path=args.out,
-                             graph_out=graph_out, floor_r=floor_r,
+                             graph_out=graph_out, floor_r=args.floor_r,
                              audit=args.audit)
         print(json.dumps({
             "achieved_cycles": result.achieved_cycles,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Graph, norm_edge
+from .graph import Graph, euler_circuits
 from .matching import is_perfect, max_matching_general
 
 TUTTE_CAP = 12
@@ -171,21 +171,6 @@ def build_gadget(g: Graph, r: int) -> GadgetGraph:
     return GadgetGraph(host=g, r=r, n_nodes=n_nodes, adj=adj, slot_of=slot_of)
 
 
-@dataclass
-class MatchingResult:
-    match: list[int]
-    perfect: bool
-
-    def pairs(self) -> set[tuple[int, int]]:
-        return {(v, u) for v, u in enumerate(self.match) if u > v}
-
-
-def perfect_matching_general(g: Graph) -> MatchingResult:
-    adj = [g.neighbors(v) for v in range(g.n)]
-    match = max_matching_general(adj)
-    return MatchingResult(match=match, perfect=is_perfect(match) and g.n > 0)
-
-
 def _seed_matching_from_subgraph(gadget: GadgetGraph, sub: Graph) -> list[int]:
     """Initial gadget matching induced by a subgraph with degrees <= r."""
     g = gadget.host
@@ -257,34 +242,40 @@ class _Dinic:
             if level[t] == -1:
                 return flow
             it = [0] * self.n
+            while True:
+                pushed = self._augment(s, t, level, it)
+                if not pushed:
+                    break
+                flow += pushed
 
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    i = self.head[u][it[u]]
-                    v = self.to[i]
-                    if self.cap[i] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[i]))
-                        if got:
-                            self.cap[i] -= got
-                            self.cap[i ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """Push flow along one s-t path of the level graph; returns the
+        amount, 0 when none is left.
 
-            import sys
-
-            old = sys.getrecursionlimit()
-            sys.setrecursionlimit(max(old, self.n + 100))
-            try:
-                while True:
-                    pushed = dfs(s, 1 << 60)
-                    if not pushed:
-                        break
-                    flow += pushed
-            finally:
-                sys.setrecursionlimit(old)
+        Depth-first with current-arc pointers ``it``, kept on an explicit
+        stack of arcs: a dead end advances its parent's pointer.
+        """
+        head, to, cap = self.head, self.to, self.cap
+        path: list[int] = []
+        u = s
+        while u != t:
+            while it[u] < len(head[u]):
+                i = head[u][it[u]]
+                if cap[i] > 0 and level[to[i]] == level[u] + 1:
+                    path.append(i)
+                    u = to[i]
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+        pushed = min(cap[i] for i in path)
+        for i in path:
+            cap[i] -= pushed
+            cap[i ^ 1] += pushed
+        return pushed
 
 
 def _balanced_orientation(g: Graph, rotate: int = 0) -> list[tuple[int, int]]:
@@ -305,31 +296,11 @@ def _balanced_orientation(g: Graph, rotate: int = 0) -> list[tuple[int, int]]:
         for v in range(len(adj)):
             k = rotate % max(1, len(adj[v]))
             adj[v] = adj[v][k:] + adj[v][:k]
-    used: set[tuple[int, int]] = set()
-    ptr = [0] * (n + 1)
     arcs: list[tuple[int, int]] = []
-    for start in range(n + 1):
-        while ptr[start] < len(adj[start]):
-            # Hierholzer from `start`
-            stack = [start]
-            circuit: list[int] = []
-            while stack:
-                u = stack[-1]
-                advanced = False
-                while ptr[u] < len(adj[u]):
-                    w = adj[u][ptr[u]]
-                    ptr[u] += 1
-                    if norm_edge(u, w) not in used:
-                        used.add(norm_edge(u, w))
-                        stack.append(w)
-                        advanced = True
-                        break
-                if not advanced:
-                    circuit.append(stack.pop())
-            circuit.reverse()
-            for a, b in zip(circuit, circuit[1:]):
-                if a != virtual and b != virtual:
-                    arcs.append((a, b))
+    for circuit in euler_circuits(adj):
+        for a, b in zip(circuit, circuit[1:]):
+            if a != virtual and b != virtual:
+                arcs.append((a, b))
     return arcs
 
 

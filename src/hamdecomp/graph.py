@@ -6,7 +6,7 @@ sets from different phases of the decomposition can be compared exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -187,6 +187,37 @@ class Graph:
         if g.num_edges != m:
             raise ValueError(f"header claims {m} edges, parsed {g.num_edges}")
         return g
+
+
+def euler_circuits(adj: list[list[int]]) -> Iterator[list[int]]:
+    """Euler circuits covering every edge of an even-degree graph, each as
+    its closed vertex walk.
+
+    Hierholzer's algorithm: circuits start at each vertex in turn while it
+    has unused edges, and each vertex scans its neighbours in the order of
+    ``adj[v]``, so callers choose the orientation through that order.
+    """
+    ptr = [0] * len(adj)
+    used: set[tuple[int, int]] = set()
+    for start in range(len(adj)):
+        while ptr[start] < len(adj[start]):
+            stack = [start]
+            circuit: list[int] = []
+            while stack:
+                u = stack[-1]
+                advanced = False
+                while ptr[u] < len(adj[u]):
+                    w = adj[u][ptr[u]]
+                    ptr[u] += 1
+                    if norm_edge(u, w) not in used:
+                        used.add(norm_edge(u, w))
+                        stack.append(w)
+                        advanced = True
+                        break
+                if not advanced:
+                    circuit.append(stack.pop())
+            circuit.reverse()
+            yield circuit
 
 
 # -- cycle covers and broken 2-factors ---------------------------------------

@@ -181,25 +181,39 @@ def hopcroft_karp(adj_x: list[list[int]], n_y: int) -> list[int]:
                     q.append(w)
         return found
 
-    def dfs(x: int) -> bool:
-        for y in adj_x[x]:
-            w = match_y[y]
-            if w == -1 or (dist[w] == dist[x] + 1 and dfs(w)):
-                match_x[x] = y
-                match_y[y] = x
-                return True
-        dist[x] = INF
-        return False
+    def dfs(root: int) -> None:
+        """Augment along the first layered alternating path from the free
+        vertex root, trying each vertex's edges in adjacency order.  The
+        path so far is xs[0] -ys[0]- xs[1] ...; its[i] holds the edges xs[i]
+        has not tried yet.  A vertex with no way forward is closed (dist
+        INF) and its parent tries its next edge.
+        """
+        xs, ys, its = [root], [], [iter(adj_x[root])]
+        while xs:
+            x = xs[-1]
+            next_dist = dist[x] + 1
+            for y in its[-1]:
+                w = match_y[y]
+                if w == -1:
+                    ys.append(y)
+                    for x, y in zip(xs, ys):
+                        match_x[x] = y
+                        match_y[y] = x
+                    return
+                if dist[w] == next_dist:
+                    ys.append(y)
+                    xs.append(w)
+                    its.append(iter(adj_x[w]))
+                    break
+            else:
+                dist[x] = INF
+                xs.pop()
+                its.pop()
+                if ys:
+                    ys.pop()
 
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, n_x + n_y + 100))
-    try:
-        while bfs():
-            for x in range(n_x):
-                if match_x[x] == -1:
-                    dfs(x)
-    finally:
-        sys.setrecursionlimit(old)
+    while bfs():
+        for x in range(n_x):
+            if match_x[x] == -1:
+                dfs(x)
     return match_x

@@ -3,14 +3,16 @@
 Each 2-factor is broken into a long path plus leftover cycles; unrestricted
 two-sided Posa rotations over the reservoir (all host edges not committed to
 a finished cycle or a pending factor) either extend the path into another
-cycle or close it.  Every mutation is recorded in a transcript that replays
-bit-exactly, and a ledger tracks per-step reservoir consumption against the
+cycle or close it.  The search proposes each move as a transcript record and
+``apply`` carries it out; conversion and replay both run every record
+through ``apply``, so a transcript replays bit-exactly.  A ledger, derived
+from each step's records, tracks per-step reservoir consumption against the
 rotation budgets when those are defined.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .graph import BrokenTwoFactor, Graph, cycle_cover_edges, norm_edge
@@ -138,16 +140,67 @@ def absorb_cycle(
     return norm_edge(tail, entry), norm_edge(entry, succ)
 
 
+def apply(broken: BrokenTwoFactor, rec: TranscriptRecord) -> TranscriptRecord:
+    """Carry out one rotate, absorb or close record on ``broken``.
+
+    A rotate or absorb acts at the path end its ``added`` edge touches; a
+    close joins the path's ends and, when ``deleted`` is set, reopens the
+    cycle at that edge so that its first endpoint in cycle order becomes
+    the tail (without ``deleted``, no cycle may be left).  Returns the
+    record with a missing ``deleted`` filled in, and raises ValueError when
+    the move contradicts a field the record names.
+    """
+    if rec.kind == "close":
+        path = broken.path
+        if norm_edge(path[0], path[-1]) != rec.added:
+            raise ValueError("closing edge does not join the endpoints")
+        if rec.deleted is None:
+            if broken.cycles:
+                raise ValueError("close leaves cycles but reopens no edge")
+            return rec
+        # i: the position of the reopened edge's first endpoint in cycle order
+        u, v = rec.deleted
+        i = path.index(u) if u in path else None
+        if i is not None and path[(i + 1) % len(path)] != v:
+            i = i - 1 if path[i - 1] == v else None
+        if i is None:
+            raise ValueError("reopened edge not on the closed cycle")
+        broken.path = path[i + 1 :] + path[: i + 1]
+        return rec
+    if rec.kind not in ("rotate", "absorb"):
+        raise ValueError(f"unknown record kind {rec.kind}")
+    a, b = rec.added
+    if rec.kind == "rotate":
+        end = b if a == rec.pivot else a
+    else:
+        end = a if a in (broken.path[0], broken.path[-1]) else b
+    # the elementary moves act at the tail
+    if broken.path[-1] != end:
+        if broken.path[0] != end:
+            raise ValueError(f"endpoint {end} is not a path end")
+        broken.path = broken.path[::-1]
+    if rec.kind == "rotate":
+        broken.path, deleted, added = rotate(broken.path, rec.pivot)
+    else:
+        added, deleted = absorb_cycle(broken, b if a == end else a)
+    if added != rec.added or rec.deleted not in (None, deleted):
+        raise ValueError(f"{rec.kind} edge mismatch")
+    return rec if rec.deleted else replace(rec, deleted=deleted)
+
+
 # -- Posa search --------------------------------------------------------------
 
 
 @dataclass
 class Outcome:
+    """What the search found, as moves for ``apply``: the rotations in order
+    as (pivot, deleted, added), then the edge the last move adds (extend:
+    the absorb edge from the tail to an off-path vertex; close: the edge
+    joining the rotated path's ends)."""
+
     kind: str  # extend | close | exhausted
-    path: list[int] | None = None  # realized path (tail = acting endpoint)
     rotations: list[tuple[int, tuple[int, int], tuple[int, int]]] = field(default_factory=list)
-    entry: int | None = None  # extend: off-path vertex adjacent to tail
-    closing_edge: tuple[int, int] | None = None
+    added: tuple[int, int] | None = None
 
 
 class _RotatedPath:
@@ -233,7 +286,7 @@ def _grow_side(
 
     Returns (extend_outcome, close_outcome, states); the first Extend aborts
     the search, the first Close is remembered.  States stay implicit (see
-    ``_RotatedPath``); only outcomes carry a realized path.
+    ``_RotatedPath``).
     """
     head = rooted.path[0]
     closable = rooted.last >= 2
@@ -243,19 +296,17 @@ def _grow_side(
     states = [root]
 
     def extend(state: _State) -> Outcome | None:
-        cuts, rots, tail, _ = state
+        _, rots, tail, _ = state
         if offpath:
             entry = next((u for u in gamma.adj(tail) if u in offpath), None)
             if entry is not None:
-                return Outcome(kind="extend", path=rooted.realize(cuts),
-                               rotations=rots, entry=entry)
+                return Outcome(kind="extend", rotations=rots, added=norm_edge(tail, entry))
         return None
 
     def close(state: _State) -> Outcome | None:
-        cuts, rots, tail, _ = state
+        _, rots, tail, _ = state
         if closable and gamma.has(tail, head):
-            return Outcome(kind="close", path=rooted.realize(cuts), rotations=rots,
-                           closing_edge=norm_edge(tail, head))
+            return Outcome(kind="close", rotations=rots, added=norm_edge(tail, head))
         return None
 
     ext = extend(root)
@@ -498,7 +549,17 @@ def convert_all(
         gamma.give([brec.deleted])
         committed_before = set(gamma.committed) if audit else None
         steps_here = rot_here = 0
-        while True:
+
+        def run(records) -> None:
+            """Apply records in order, keeping the transcript and F* in step."""
+            for rec in records:
+                rec = apply(broken, rec)
+                transcript.append(rec)
+                fstar.add(rec.added)
+                fstar.discard(rec.deleted)
+
+        status, extra, done = "hamilton", {}, False
+        while not done:
             step += 1
             steps_here += 1
             outcome = posa_search(
@@ -506,96 +567,38 @@ def convert_all(
             )
             if outcome.kind == "exhausted":
                 gamma.give(fstar)
-                per_factor.append(
-                    {"factor": fi, "outcome": "abandoned", "steps": steps_here,
-                     "rotations": rot_here, "pass": pass_no}
-                )
-                return False
-            consumed: list[tuple[int, int]] = []
-            returned: list[tuple[int, int]] = []
-            # realize the rotation sequence
-            broken.path = outcome.path
-            for pivot, deleted, added in outcome.rotations:
-                transcript.append(
-                    TranscriptRecord(step=step, kind="rotate", pivot=pivot,
-                                     deleted=deleted, added=added)
-                )
-                fstar.discard(deleted)
-                fstar.add(added)
-                returned.append(deleted)
-                consumed.append(added)
+                status = "abandoned"
+                break
+            first = len(transcript)
+            run(TranscriptRecord(step=step, kind="rotate", pivot=pivot, deleted=deleted,
+                                 added=added)
+                for pivot, deleted, added in outcome.rotations)
             nrot = len(outcome.rotations)
             rot_here += nrot
             total_rot += nrot
-            done = False
+            done = outcome.kind == "close" and not broken.cycles
             if outcome.kind == "extend":
-                added, deleted = absorb_cycle(broken, outcome.entry)
-                transcript.append(
-                    TranscriptRecord(step=step, kind="absorb", pivot=None,
-                                     deleted=deleted, added=added)
-                )
-                fstar.add(added)
-                fstar.discard(deleted)
-                consumed.append(added)
-                returned.append(deleted)
-            else:  # close
-                ce = outcome.closing_edge
-                if not broken.cycles:
-                    cycle = list(broken.path)
-                    if not g0.verify_hamilton_cycle(cycle):
-                        raise AssertionError("produced cycle failed verification")
-                    transcript.append(
-                        TranscriptRecord(step=step, kind="close", added=ce)
-                    )
-                    fstar.add(ce)
-                    consumed.append(ce)
-                    finished_edges.update(fstar)
-                    hamilton.append(cycle)
-                    per_factor.append(
-                        {"factor": fi, "outcome": "hamilton", "steps": steps_here,
-                         "rotations": rot_here, "pass": pass_no}
-                    )
-                    done = True
-                else:
-                    # close to C*, search an escape edge, reopen, absorb
-                    cstar = list(broken.path)
-                    offpath = broken.offpath_vertices()
-                    escape = None
-                    for y in cstar:
-                        for z in gamma.adj(y):
-                            if z in offpath:
-                                escape = (y, z)
-                                break
-                        if escape:
-                            break
-                    if escape is None:
-                        # the reservoir still holds this step's returned edges
-                        gamma.give(fstar | set(returned))
-                        per_factor.append(
-                            {"factor": fi, "outcome": "abandoned", "steps": steps_here,
-                             "rotations": rot_here, "pass": pass_no, "deadend": True}
-                        )
-                        return False
-                    y, z = escape
-                    k = len(cstar)
-                    yi = cstar.index(y)
-                    reopened = norm_edge(y, cstar[(yi + 1) % k])
-                    transcript.append(
-                        TranscriptRecord(step=step, kind="close", added=ce, deleted=reopened)
-                    )
-                    fstar.add(ce)
-                    consumed.append(ce)
-                    fstar.discard(reopened)
-                    returned.append(reopened)
-                    broken.path = cstar[yi + 1 :] + cstar[: yi + 1]
-                    added, deleted = absorb_cycle(broken, z)
-                    transcript.append(
-                        TranscriptRecord(step=step, kind="absorb", deleted=deleted, added=added)
-                    )
-                    fstar.add(added)
-                    fstar.discard(deleted)
-                    consumed.append(added)
-                    returned.append(deleted)
+                run([TranscriptRecord(step=step, kind="absorb", added=outcome.added)])
+            elif done:
+                run([TranscriptRecord(step=step, kind="close", added=outcome.added)])
+            else:
+                # close to C*, search an escape edge, reopen, absorb
+                cstar = broken.path
+                offpath = broken.offpath_vertices()
+                escape = next(((y, z) for y in cstar for z in gamma.adj(y) if z in offpath),
+                              None)
+                if escape is None:
+                    # the edges this step's rotations deleted are still committed
+                    gamma.give(fstar | {rec.deleted for rec in transcript[first:]})
+                    status, extra = "abandoned", {"deadend": True}
+                    break
+                y, z = escape
+                reopened = norm_edge(y, cstar[(cstar.index(y) + 1) % len(cstar)])
+                run([TranscriptRecord(step=step, kind="close", added=outcome.added,
+                                      deleted=reopened),
+                     TranscriptRecord(step=step, kind="absorb", added=norm_edge(y, z))])
+            consumed = [rec.added for rec in transcript[first:]]
+            returned = [rec.deleted for rec in transcript[first:] if rec.deleted]
             # the reservoir follows the step only now: the escape search
             # above must see it as the step found it
             touched = set(consumed) | set(returned)
@@ -611,11 +614,20 @@ def convert_all(
                            consumed=consumed_net, returned=returned_net,
                            cap=cap, within_cap=within)
             )
+            if done:
+                cycle = list(broken.path)
+                if not g0.verify_hamilton_cycle(cycle):
+                    raise AssertionError("produced cycle failed verification")
+                finished_edges.update(fstar)
+                hamilton.append(cycle)
             if audit:
                 committed_before = audit_step(fstar if not done else set(), committed_before,
                                               consumed_net, returned_net)
-            if done:
-                return True
+        per_factor.append(
+            {"factor": fi, "outcome": status, "steps": steps_here,
+             "rotations": rot_here, "pass": pass_no, **extra}
+        )
+        return status == "hamilton"
 
     abandoned: list[int] = []
     for fi in range(len(factors)):
@@ -651,60 +663,9 @@ def replay(
     """Re-apply a transcript to its initial 2-factor; returns the final path
     (a Hamilton cycle's vertex order when the transcript ends with a spanning
     close)."""
-    cycles = [list(c) for c in factor]
-    broken: BrokenTwoFactor | None = None
-    for rec in transcript:
-        if rec.kind == "break":
-            broken, brec = break_to_path(cycles, n)
-            if brec.deleted != rec.deleted:
-                raise ValueError("break edge mismatch")
-        elif rec.kind == "rotate":
-            assert broken is not None
-            a, b = rec.added
-            pivot = rec.pivot
-            endpoint = b if a == pivot else a
-            if broken.path[0] == endpoint:
-                broken.path = broken.path[::-1]
-            if broken.path[-1] != endpoint:
-                raise ValueError(f"rotation endpoint {endpoint} is not a path end")
-            new_path, deleted, added = rotate(broken.path, pivot)
-            if deleted != rec.deleted or added != rec.added:
-                raise ValueError("rotation edge mismatch")
-            broken.path = new_path
-        elif rec.kind == "absorb":
-            assert broken is not None
-            a, b = rec.added
-            tail = broken.path[-1]
-            head = broken.path[0]
-            if a == tail or b == tail:
-                pass
-            elif a == head or b == head:
-                broken.path = broken.path[::-1]
-            entry = b if a == broken.path[-1] else a
-            added, deleted = absorb_cycle(broken, entry)
-            if added != rec.added or deleted != rec.deleted:
-                raise ValueError("absorb edge mismatch")
-        elif rec.kind == "close":
-            assert broken is not None
-            if norm_edge(broken.path[0], broken.path[-1]) != rec.added:
-                raise ValueError("closing edge does not join the endpoints")
-            if rec.deleted is None:
-                return list(broken.path)
-            cstar = list(broken.path)
-            k = len(cstar)
-            u, v = rec.deleted
-            yi = None
-            for i, y in enumerate(cstar):
-                if y == u and cstar[(i + 1) % k] == v:
-                    yi = i
-                    break
-                if y == v and cstar[(i + 1) % k] == u:
-                    yi = i
-                    break
-            if yi is None:
-                raise ValueError("reopened edge not on the closed cycle")
-            broken.path = cstar[yi + 1 :] + cstar[: yi + 1]
-        else:
-            raise ValueError(f"unknown record kind {rec.kind}")
-    assert broken is not None
+    broken, brec = break_to_path([list(c) for c in factor], n)
+    if not transcript or transcript[0].kind != "break" or transcript[0].deleted != brec.deleted:
+        raise ValueError("break edge mismatch")
+    for rec in transcript[1:]:
+        apply(broken, rec)
     return list(broken.path)

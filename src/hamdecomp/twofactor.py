@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, check_cycle_cover, cycle_cover_edges, norm_edge
+from .graph import Graph, check_cycle_cover, cycle_cover_edges, euler_circuits
 from .matching import hopcroft_karp
 
 
@@ -42,30 +42,10 @@ def euler_orient(h: Graph) -> Orientation:
     odd = [v for v in range(h.n) if h.degree(v) % 2 == 1]
     if odd:
         raise ValueError(f"odd-degree vertices: {odd[:5]}")
-    adj = [h.neighbors(v) for v in range(h.n)]
-    ptr = [0] * h.n
-    used: set[tuple[int, int]] = set()
     out: list[list[int]] = [[] for _ in range(h.n)]
-    for start in range(h.n):
-        while ptr[start] < len(adj[start]):
-            stack = [start]
-            circuit: list[int] = []
-            while stack:
-                u = stack[-1]
-                advanced = False
-                while ptr[u] < len(adj[u]):
-                    w = adj[u][ptr[u]]
-                    ptr[u] += 1
-                    if norm_edge(u, w) not in used:
-                        used.add(norm_edge(u, w))
-                        stack.append(w)
-                        advanced = True
-                        break
-                if not advanced:
-                    circuit.append(stack.pop())
-            circuit.reverse()
-            for a, b in zip(circuit, circuit[1:]):
-                out[a].append(b)
+    for circuit in euler_circuits([h.neighbors(v) for v in range(h.n)]):
+        for a, b in zip(circuit, circuit[1:]):
+            out[a].append(b)
     for v in range(h.n):
         out[v].sort()
     return Orientation(host=h, out=out)
@@ -141,9 +121,6 @@ class TwoFactorSet:
             if es & seen:
                 raise ValueError("factors share an edge")
             seen |= es
-
-    def to_json_obj(self) -> list:
-        return [[list(cyc) for cyc in f] for f in self.factors]
 
 
 def peel_all(h: Graph, r: int | None = None) -> TwoFactorSet:

@@ -229,14 +229,6 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "r.json")])
         assert code == 3
 
-    def test_max_retries_flag(self, tmp_path):
-        # a huge retry budget behaves like the default floor
-        code = main(["run", "--n", "40", "--p0", "0.9", "--eta", "0.3",
-                     "--max-retries", "50", "--out", str(tmp_path / "r.json")])
-        assert code == 0
-        assert main(["run", "--n", "10", "--p0", "0.5", "--eta", "0.3",
-                     "--max-retries", "-1"]) == 2
-
     def test_verify_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert main(["run", "--n", "40", "--p0", "0.9", "--eta", "0.3",

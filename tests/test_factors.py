@@ -1,15 +1,17 @@
 """Factor engine: degree-factor oracle, slot gadget, extraction, probes."""
 import random
+import sys
+from collections import deque
 from itertools import combinations
 
 import pytest
 
 from hamdecomp.factors import (
+    _Dinic,
     boundary_growth_probe,
     build_gadget,
     extract_r_factor,
     extract_with_retry,
-    perfect_matching_general,
     tutte_check_exhaustive,
     tutte_quantities,
 )
@@ -132,17 +134,6 @@ class TestGadget:
                 assert len(found) == brute_r_factor_count(g, r)
 
 
-class TestPerfectMatchingWrapper:
-    def test_c6(self):
-        res = perfect_matching_general(Graph.cycle(6))
-        assert res.perfect
-        assert len(res.pairs()) == 3
-
-    def test_star(self):
-        res = perfect_matching_general(Graph(4, [(0, 1), (0, 2), (0, 3)]))
-        assert not res.perfect
-
-
 class TestExtraction:
     def test_c6_identity(self):
         assert extract_r_factor(Graph.cycle(6), 2) == Graph.cycle(6)
@@ -217,3 +208,83 @@ class TestBoundaryProbe:
         report = boundary_growth_probe(g, set(range(5)), g.min_degree(), 0.05)
         assert report["regime"] in ("small", "large")
         assert "inequality" in report
+
+
+def recursive_max_flow(net: _Dinic, s: int, t: int) -> int:
+    """Reference: Dinic's algorithm with the usual recursive blocking-flow
+    DFS over the same arc lists and current-arc pointers."""
+    flow = 0
+    while True:
+        level = [-1] * net.n
+        level[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for i in net.head[u]:
+                if net.cap[i] > 0 and level[net.to[i]] == -1:
+                    level[net.to[i]] = level[u] + 1
+                    q.append(net.to[i])
+        if level[t] == -1:
+            return flow
+        it = [0] * net.n
+
+        def dfs(u, pushed):
+            if u == t:
+                return pushed
+            while it[u] < len(net.head[u]):
+                i = net.head[u][it[u]]
+                v = net.to[i]
+                if net.cap[i] > 0 and level[v] == level[u] + 1:
+                    got = dfs(v, min(pushed, net.cap[i]))
+                    if got:
+                        net.cap[i] -= got
+                        net.cap[i ^ 1] += got
+                        return got
+                it[u] += 1
+            return 0
+
+        while True:
+            pushed = dfs(s, 1 << 60)
+            if not pushed:
+                break
+            flow += pushed
+
+
+def random_network(seed: int) -> _Dinic:
+    rnd = random.Random(seed)
+    n = rnd.randint(2, 30)
+    net = _Dinic(n)
+    for _ in range(rnd.randint(0, 4 * n)):
+        u, v = rnd.randrange(n), rnd.randrange(n)
+        if u != v:
+            net.add(u, v, rnd.randint(1, 5))
+    return net
+
+
+def _no_recursion_limit_change(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the recursion limit must not change")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+
+
+class TestIterativeDinic:
+    def test_matches_recursive_reference(self, monkeypatch):
+        # same arc order and pointers: equal flow and equal residual capacities
+        _no_recursion_limit_change(monkeypatch)
+        for seed in range(400):
+            net, ref = random_network(seed), random_network(seed)
+            t = net.n - 1
+            assert net.max_flow(0, t) == recursive_max_flow(ref, 0, t)
+            assert net.cap == ref.cap
+
+    def test_augmenting_path_longer_than_the_recursion_limit(self, monkeypatch):
+        _no_recursion_limit_change(monkeypatch)
+        m = 3 * sys.getrecursionlimit()
+        net, ref = _Dinic(m), _Dinic(m)
+        for u in range(m - 1):
+            net.add(u, u + 1, 2)
+            ref.add(u, u + 1, 2)
+        with pytest.raises(RecursionError):
+            recursive_max_flow(ref, 0, m - 1)
+        assert net.max_flow(0, m - 1) == 2

@@ -1,6 +1,9 @@
 """Matching kernels against the exhaustive reference matcher."""
 import random
+import sys
+from collections import deque
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamdecomp.graph import Graph
@@ -118,3 +121,81 @@ class TestHopcroftKarp:
         match = hopcroft_karp([sorted(s) for s in adj], n)
         assert all(m != -1 for m in match)
         assert len(set(match)) == n
+
+
+def recursive_hopcroft_karp(adj_x, n_y):
+    """Reference: Hopcroft-Karp with the usual recursive augmenting DFS."""
+    n_x, inf = len(adj_x), float("inf")
+    match_x, match_y = [-1] * n_x, [-1] * n_y
+    for x in range(n_x):
+        for y in adj_x[x]:
+            if match_y[y] == -1:
+                match_x[x], match_y[y] = y, x
+                break
+    dist = [0.0] * n_x
+
+    def bfs():
+        q = deque()
+        for x in range(n_x):
+            dist[x] = 0.0 if match_x[x] == -1 else inf
+            if match_x[x] == -1:
+                q.append(x)
+        found = False
+        while q:
+            x = q.popleft()
+            for y in adj_x[x]:
+                w = match_y[y]
+                if w == -1:
+                    found = True
+                elif dist[w] == inf:
+                    dist[w] = dist[x] + 1
+                    q.append(w)
+        return found
+
+    def dfs(x):
+        for y in adj_x[x]:
+            w = match_y[y]
+            if w == -1 or (dist[w] == dist[x] + 1 and dfs(w)):
+                match_x[x], match_y[y] = y, x
+                return True
+        dist[x] = inf
+        return False
+
+    while bfs():
+        for x in range(n_x):
+            if match_x[x] == -1:
+                dfs(x)
+    return match_x
+
+
+def _no_recursion_limit_change(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the recursion limit must not change")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+
+
+class TestIterativeHopcroftKarp:
+    def test_matches_recursive_reference(self, monkeypatch):
+        # same edge order, same augmenting paths: the matchings are equal
+        _no_recursion_limit_change(monkeypatch)
+        rnd = random.Random(5)
+        for _ in range(400):
+            n_x, n_y = rnd.randint(1, 40), rnd.randint(1, 40)
+            q = rnd.choice([0.05, 0.1, 0.3, 0.6])
+            adj_x = []
+            for _ in range(n_x):
+                ys = [y for y in range(n_y) if rnd.random() < q]
+                rnd.shuffle(ys)
+                adj_x.append(ys)
+            assert hopcroft_karp(adj_x, n_y) == recursive_hopcroft_karp(adj_x, n_y)
+
+    def test_augmenting_path_longer_than_the_recursion_limit(self, monkeypatch):
+        # x_i prefers y_{i+1}, so the greedy seed leaves x_m free and the
+        # only augmenting path runs through all m + 1 X vertices
+        _no_recursion_limit_change(monkeypatch)
+        m = 3 * sys.getrecursionlimit()
+        adj_x = [[i + 1, i] for i in range(m)] + [[m]]
+        with pytest.raises(RecursionError):
+            recursive_hopcroft_karp(adj_x, m + 1)
+        assert hopcroft_karp(adj_x, m + 1) == list(range(m + 1))

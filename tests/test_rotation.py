@@ -13,7 +13,9 @@ from hamdecomp.factors import extract_with_retry
 from hamdecomp.graph import BrokenTwoFactor, Graph, norm_edge, path_edges
 from hamdecomp.rotation import (
     GammaView,
+    TranscriptRecord,
     absorb_cycle,
+    apply,
     break_to_path,
     convert_all,
     expansion_probe,
@@ -25,6 +27,13 @@ from hamdecomp.sampler import Params, sample_gnp, split
 from hamdecomp.twofactor import peel_all
 
 TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+
+
+def apply_outcome(broken, outcome):
+    """Apply a search outcome's rotations to ``broken``."""
+    for pivot, deleted, added in outcome.rotations:
+        apply(broken, TranscriptRecord(step=1, kind="rotate", pivot=pivot,
+                                       deleted=deleted, added=added))
 
 
 def two_triangle_fixture(gamma_edges):
@@ -130,7 +139,7 @@ class TestPosaSearch:
         broken = BrokenTwoFactor(n=5, cycles=[], path=[0, 1, 2, 3, 4])
         outcome = posa_search(broken, GammaView(host, path_edges(broken.path)))
         assert outcome.kind == "close"
-        assert outcome.closing_edge == (0, 4)
+        assert outcome.added == (0, 4)
         assert outcome.rotations == []
 
     def test_extend_preferred(self):
@@ -139,7 +148,7 @@ class TestPosaSearch:
         gamma = GammaView(g0, broken.edges())
         outcome = posa_search(broken, gamma)
         assert outcome.kind == "extend"
-        assert outcome.entry == 3
+        assert outcome.added == (1, 3)
         assert outcome.rotations == []
 
     def test_exhausted_when_gamma_empty(self):
@@ -157,8 +166,9 @@ class TestPosaSearch:
         gamma = GammaView(host, path_edges(broken.path))
         outcome = posa_search(broken, gamma)
         assert outcome.kind == "close"
-        # the realized path must actually close with a host edge
-        p = outcome.path
+        # the rotated path must actually close with a host edge
+        apply_outcome(broken, outcome)
+        p = broken.path
         assert host.has_edge(p[0], p[-1])
         assert sorted(p) == list(range(5))
 
@@ -166,29 +176,26 @@ class TestPosaSearch:
            st.sampled_from([0.1, 0.25, 0.5]), st.sampled_from([(3, 1), (20, 3), (2000, 64)]))
     @settings(max_examples=150, deadline=None)
     def test_outcome_path_is_its_rotations_applied(self, n, seed, q, limits):
-        # every outcome's path must be the original path with its rotations
-        # replayed in order, each acting at the end its added edge touches
+        # every outcome's records must apply in order to the original path,
+        # each rotation acting at the end its added edge touches, and each
+        # added edge must come from the reservoir
         broken, gamma = random_broken(n, seed, q)
         path = broken.path
         max_states, max_levels = limits
         outcome = posa_search(broken, gamma, max_states=max_states, max_levels=max_levels)
         if outcome.kind == "exhausted":
             return
-        p = list(path)
-        for pivot, deleted, added in outcome.rotations:
-            assert gamma.has(*added)
-            endpoint = added[0] if added[1] == pivot else added[1]
-            if p[0] == endpoint:
-                p = p[::-1]
-            p, d, a = rotate(p, pivot)
-            assert (d, a) == (deleted, added)
-        assert p == outcome.path or (not outcome.rotations and p[::-1] == outcome.path)
-        tail = outcome.path[-1]
+        assert all(gamma.has(*added) for _, _, added in outcome.rotations)
+        assert gamma.has(*outcome.added)
+        apply_outcome(broken, outcome)
         if outcome.kind == "extend":
-            assert gamma.has(tail, outcome.entry) and outcome.entry not in path
+            # one end of the rotated path joins an off-path vertex
+            assert len(set(outcome.added) & {broken.path[0], broken.path[-1]}) == 1
+            assert len(set(outcome.added) & set(path)) == 1
+            apply(broken, TranscriptRecord(step=1, kind="absorb", added=outcome.added))
         else:
-            assert outcome.closing_edge == norm_edge(tail, outcome.path[0])
-            assert gamma.has(*outcome.closing_edge)
+            assert outcome.added == norm_edge(broken.path[0], broken.path[-1])
+        broken.validate(gamma.host)
 
 
 def explicit_endpoint_sizes(path, gamma, max_levels=16):
@@ -324,6 +331,25 @@ class TestConvertAll:
             es = path_edges(cyc) | {(min(cyc[0], cyc[-1]), max(cyc[0], cyc[-1]))}
             assert not (es & used)
             used |= es
+
+    def test_ledger_is_the_net_of_each_steps_records(self):
+        # a small state cap makes this conversion rotate and reopen a close
+        params = Params(n=81, p0=0.6, eta=0.05, seed=45423)
+        s = split(sample_gnp(params.n, params.p0, params.seed), params)
+        f, r = extract_with_retry(s.g1, params.r1)
+        tf = peel_all(f, r)
+        conv = convert_all(tf.factors, s.g0, s.g2, params, max_states=5)
+        assert all(o["pass"] == 1 for o in conv.per_factor)
+        records = [rec for fi in sorted(conv.transcripts) for rec in conv.transcripts[fi]]
+        assert any(rec.kind == "close" and rec.deleted for rec in records)
+        assert conv.total_rotations > 0
+        for row in conv.ledger:
+            step = [rec for rec in conv.transcripts[row.factor] if rec.step == row.step]
+            added = [rec.added for rec in step]
+            deleted = [rec.deleted for rec in step if rec.deleted]
+            assert row.consumed == [e for e in added if e not in deleted]
+            assert row.returned == [e for e in deleted if e not in added]
+            assert row.rotations == sum(rec.kind == "rotate" for rec in step)
 
 
 class TestPersistentReservoir:
@@ -495,6 +521,30 @@ def test_audit_traces_returned_edges(monkeypatch):
 
 
 class TestReplayValidation:
+    def test_rejects_rotation_away_from_the_path_ends(self):
+        # the broken path is 0-5-4-3-2-1; pivot 4 rotates the tail 1
+        transcript = [
+            TranscriptRecord(step=0, kind="break", deleted=(0, 1)),
+            TranscriptRecord(step=1, kind="rotate", pivot=4, deleted=(3, 4), added=(1, 4)),
+        ]
+        assert replay([[0, 1, 2, 3, 4, 5]], transcript, 6) == [0, 5, 4, 1, 2, 3]
+        transcript[1].added = (2, 4)  # would rotate the inner vertex 2
+        with pytest.raises(ValueError, match="not a path end"):
+            replay([[0, 1, 2, 3, 4, 5]], transcript, 6)
+
+    def test_rejects_reopening_an_edge_off_the_closed_cycle(self):
+        # the broken path is 0-2-1; closing it and reopening (1, 2) leaves
+        # 1-0-2, whose tail 2 absorbs the triangle 3-4-5
+        transcript = [
+            TranscriptRecord(step=0, kind="break", deleted=(0, 1)),
+            TranscriptRecord(step=1, kind="close", deleted=(1, 2), added=(0, 1)),
+            TranscriptRecord(step=1, kind="absorb", deleted=(3, 4), added=(2, 3)),
+        ]
+        assert replay([[0, 1, 2], [3, 4, 5]], transcript, 6) == [1, 0, 2, 3, 5, 4]
+        transcript[1].deleted = (3, 4)  # an edge of the other cycle
+        with pytest.raises(ValueError, match="not on the closed cycle"):
+            replay([[0, 1, 2], [3, 4, 5]], transcript, 6)
+
     def test_rejects_tampered_transcript(self):
         g0, factors = two_triangle_fixture([(1, 3), (0, 4)])
         conv = convert_all(factors, g0, Graph(6), desk_params())
