@@ -8,7 +8,6 @@ and falls back to the exact gadget matching when it comes up short.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .graph import Graph, euler_circuits
@@ -130,6 +129,7 @@ class GadgetGraph:
     n_nodes: int
     adj: list[list[int]]
     slot_of: dict[tuple[int, int], tuple[int, int]]  # host edge -> (slot at u, slot at v)
+    core_range: list[tuple[int, int]]  # core-slot node ids of v: range(*core_range[v])
 
     def matching_to_factor(self, match: list[int]) -> Graph:
         f = Graph(self.host.n)
@@ -168,7 +168,8 @@ def build_gadget(g: Graph, r: int) -> GadgetGraph:
         adj[su].append(sv)
         adj[sv].append(su)
         slot_of[(u, v)] = (su, sv)
-    return GadgetGraph(host=g, r=r, n_nodes=n_nodes, adj=adj, slot_of=slot_of)
+    return GadgetGraph(host=g, r=r, n_nodes=n_nodes, adj=adj, slot_of=slot_of,
+                       core_range=core_range)
 
 
 def _seed_matching_from_subgraph(gadget: GadgetGraph, sub: Graph) -> list[int]:
@@ -179,16 +180,11 @@ def _seed_matching_from_subgraph(gadget: GadgetGraph, sub: Graph) -> list[int]:
         if sub.has_edge(u, v):
             match[su] = sv
             match[sv] = su
-    # pair leftover edge slots with core slots vertex-locally
-    node = 0
-    for v in range(g.n):
-        d = g.degree(v)
-        slots = list(range(node, node + d))
-        node += d
-        cores = list(range(node, node + d - gadget.r))
-        node += d - gadget.r
-        free_slots = [s for s in slots if match[s] == -1]
-        for c, s in zip(cores, free_slots):
+    # pair leftover edge slots with core slots vertex-locally; v's edge
+    # slots sit just before its core slots
+    for v, (lo, hi) in enumerate(gadget.core_range):
+        free_slots = [s for s in range(lo - g.degree(v), lo) if match[s] == -1]
+        for c, s in zip(range(lo, hi), free_slots):
             match[c] = s
             match[s] = c
     return match
@@ -359,9 +355,7 @@ def _assert_regular(f: Graph, r: int) -> None:
         raise AssertionError(f"factor not {r}-regular at vertices {bad[:5]}")
 
 
-def extract_with_retry(
-    g1: Graph, r1: int, floor_r: int = 2, step: int = 2
-) -> tuple[Graph | None, int]:
+def extract_with_retry(g1: Graph, r1: int, floor_r: int = 2) -> tuple[Graph | None, int]:
     """Retry extraction at r1, r1-2, ... down to floor_r; returns (factor, r).
 
     Degrees above the sample's minimum cannot support a factor, so the scan
@@ -373,32 +367,6 @@ def extract_with_retry(
         f = extract_r_factor(g1, r)
         if f is not None:
             return f, r
-        r -= step
+        r -= 2
     return None, 0
 
-
-# -- boundary growth diagnostic ----------------------------------------------
-
-
-def boundary_growth_probe(g: Graph, a: set[int], min_deg: float, p0: float) -> dict:
-    """Measure |B(A)| against the two boundary-regime inequalities."""
-    if not a:
-        raise ValueError("a must be nonempty")
-    b = g.boundary(a)
-    n = g.n
-    logn = math.log(n) if n > 1 else 1.0
-    a_sz, b_sz = len(a), len(b)
-    report: dict = {"a": a_sz, "b": b_sz, "degenerate": a_sz == n}
-    if report["degenerate"] or p0 <= 0:
-        report["regime"] = None
-        return report
-    if logn / (a_sz * p0) >= 3.5:
-        report["regime"] = "small"
-        rhs = a_sz * (min_deg - 6 * logn) / (2 * logn)
-        report["inequality"] = {"lhs": b_sz, "rhs": rhs, "holds": b_sz >= rhs}
-        report["b_geq_a"] = b_sz >= a_sz
-    else:
-        report["regime"] = "large"
-        rhs = min_deg / (7 * p0)
-        report["inequality"] = {"lhs": 3 * a_sz + b_sz, "rhs": rhs, "holds": 3 * a_sz + b_sz >= rhs}
-    return report

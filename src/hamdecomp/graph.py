@@ -53,13 +53,7 @@ class Graph:
             raise ValueError("cycle needs at least 3 vertices")
         return cls(n, ((i, (i + 1) % n) for i in range(n)))
 
-    def copy(self) -> "Graph":
-        g = Graph(self.n)
-        g._edges = set(self._edges)
-        g._adj = [set(s) for s in self._adj]
-        return g
-
-    # -- mutation (use only on private copies) --------------------------------
+    # -- mutation -------------------------------------------------------------
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -72,11 +66,6 @@ class Graph:
         self._edges.add(e)
         self._adj[u].add(v)
         self._adj[v].add(u)
-
-    def remove_edge(self, u: int, v: int) -> None:
-        self._edges.remove(norm_edge(u, v))
-        self._adj[u].remove(v)
-        self._adj[v].remove(u)
 
     # -- queries --------------------------------------------------------------
 
@@ -105,9 +94,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((len(s) for s in self._adj), default=0)
 
-    def max_degree(self) -> int:
-        return max((len(s) for s in self._adj), default=0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._edges == other._edges
 
@@ -131,14 +117,6 @@ class Graph:
         seen = {norm_edge(u, v) for u in a for v in self._adj[u] & b}
         seen |= {norm_edge(u, v) for u in b for v in self._adj[u] & a}
         return len(seen)
-
-    def boundary(self, a: Iterable[int]) -> set[int]:
-        """Vertices outside a adjacent to some vertex of a."""
-        a = set(a)
-        out: set[int] = set()
-        for u in a:
-            out |= self._adj[u]
-        return out - a
 
     def components(self, restrict: Iterable[int] | None = None) -> list[set[int]]:
         """Connected components of the subgraph induced on restrict.
@@ -221,8 +199,6 @@ def euler_circuits(adj: list[list[int]]) -> Iterator[list[int]]:
 
 
 # -- cycle covers and broken 2-factors ---------------------------------------
-
-CycleCover = list  # list of vertex sequences, each closing on itself
 
 
 def cycle_cover_edges(cycles: Iterable[Sequence[int]]) -> set[tuple[int, int]]:

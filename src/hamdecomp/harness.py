@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from .factors import extract_with_retry
-from .graph import Graph, norm_edge
+from .graph import Graph, cycle_cover_edges
 from .rotation import ConversionResult, convert_all
 from .sampler import Params, sample_gnp, split
 from .twofactor import cycle_statistics, peel_all
@@ -86,7 +86,7 @@ def _reverify(g0: Graph, cycles: list[list[int]]) -> list[list[int]]:
     for cyc in cycles:
         if not g0.verify_hamilton_cycle(cyc):
             continue
-        es = {norm_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
+        es = cycle_cover_edges([cyc])
         if es & used:
             continue
         used |= es
@@ -112,7 +112,7 @@ def run(
                 json.dump(result.to_json_obj(), fh)
         return result
 
-    def failed(phase: str, g0: Graph | None) -> DecompositionResult:
+    def failed(phase: str) -> DecompositionResult:
         return finish(
             DecompositionResult(
                 params=params, achieved_cycles=0, target_m=target_m,
@@ -134,7 +134,7 @@ def run(
     factor, r_achieved = extract_with_retry(s.g1, params.r1, floor_r=floor_r)
     wall["extract"] = time.perf_counter() - t
     if factor is None:
-        return failed("extract", g0)
+        return failed("extract")
 
     t = time.perf_counter()
     tf = peel_all(factor, r_achieved)

@@ -108,10 +108,6 @@ def max_matching_general(adj: list[list[int]], init: list[int] | None = None) ->
     return match
 
 
-def matching_pairs(match: list[int]) -> set[tuple[int, int]]:
-    return {(v, match[v]) for v in range(len(match)) if match[v] > v}
-
-
 def is_perfect(match: list[int]) -> bool:
     return all(m != -1 for m in match)
 

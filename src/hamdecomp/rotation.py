@@ -11,7 +11,6 @@ rotation budgets when those are defined.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -190,6 +189,9 @@ def apply(broken: BrokenTwoFactor, rec: TranscriptRecord) -> TranscriptRecord:
 
 # -- Posa search --------------------------------------------------------------
 
+# re-anchored states the two-sided search tries on a spanning path
+TWO_SIDED_CAP = 40
+
 
 @dataclass
 class Outcome:
@@ -347,7 +349,6 @@ def posa_search(
     gamma: GammaView,
     max_states: int = 2000,
     max_levels: int = 64,
-    two_sided_cap: int = 40,
 ) -> Outcome:
     """Find an Extend or Close outcome by two-sided rotation BFS.
 
@@ -378,7 +379,7 @@ def posa_search(
     if spanning:
         # two-sided: re-anchor at each reachable endpoint and rotate the
         # opposite end of the realized path
-        for cuts, rots, _tail, _ in states_a[:two_sided_cap]:
+        for cuts, rots, _tail, _ in states_a[:TWO_SIDED_CAP]:
             rooted = _RotatedPath(side_a.realize(cuts)[::-1])
             _, close2, _ = _grow_side(rooted, gamma, offpath, max_states, max_levels)
             if close2 is not None:
@@ -387,52 +388,6 @@ def posa_search(
     if first_close is not None:
         return first_close
     return Outcome(kind="exhausted")
-
-
-def expansion_probe(
-    path: list[int], gamma: GammaView, max_levels: int = 16, params: Params | None = None
-) -> dict:
-    """Measure per-level endpoint-set growth (true rotation reachability)
-    against the halving inequality |S_{t+1}| >= |B(S_t)|/2 - |S_t| and the
-    initial-rotation milestone."""
-    if len(path) < 3:
-        return {"trivial": True, "levels": []}
-    rooted = _RotatedPath(path)
-    on_path = rooted.index
-    extend_available = False
-    levels = []
-    s_t = {path[-1]}
-    frontier: list[tuple[tuple[int, ...], frozenset[int], int]] = [((), frozenset(), path[-1])]
-    for _ in range(max_levels):
-        bnd = set()
-        for v in s_t:
-            for u in gamma.adj(v):
-                if u in on_path:
-                    bnd.add(u)
-                else:
-                    extend_available = True
-        bnd -= s_t
-        nxt: list[tuple[tuple[int, ...], frozenset[int], int]] = []
-        new_endpoints = 0
-        for cuts, touched, tail in frontier:
-            for pivot, i, cand in rooted.moves(cuts, touched, tail, gamma, s_t):
-                s_t.add(cand)
-                new_endpoints += 1
-                nxt.append((cuts + (i,), touched | {pivot, cand, tail}, cand))
-        lower = len(bnd) / 2 - (len(s_t) - new_endpoints)
-        levels.append(
-            {"s": len(s_t) - new_endpoints, "boundary": len(bnd),
-             "lower_bound_next": lower, "s_next": len(s_t),
-             "inequality_holds": len(s_t) >= lower}
-        )
-        if not nxt:
-            break
-        frontier = nxt
-    report: dict = {"trivial": False, "levels": levels, "extend_available": extend_available}
-    if params is not None and params.e0 is not None:
-        report["milestone_eta_n_200"] = params.eta * params.n / 200.0
-        report["reached_milestone"] = levels[-1]["s"] >= report["milestone_eta_n_200"]
-    return report
 
 
 # -- full conversion ----------------------------------------------------------
@@ -458,9 +413,7 @@ class ConversionResult:
     steps: int
     total_rotations: int
     g2_consumed: int
-    mode: str
     audit_failures: list[str]
-    wall_seconds: float
 
 
 def convert_all(
@@ -473,7 +426,6 @@ def convert_all(
     max_states: int = 2000,
     max_levels: int = 64,
 ) -> ConversionResult:
-    t0 = time.perf_counter()
     if mode not in ("report", "enforce"):
         raise ValueError(f"unknown mode {mode!r}")
     n = g0.n
@@ -648,9 +600,7 @@ def convert_all(
         steps=step,
         total_rotations=total_rot,
         g2_consumed=g2_consumed,
-        mode=mode,
         audit_failures=audit_failures,
-        wall_seconds=time.perf_counter() - t0,
     )
 
 

@@ -51,43 +51,9 @@ def euler_orient(h: Graph) -> Orientation:
     return Orientation(host=h, out=out)
 
 
-@dataclass
-class BipartiteDouble:
-    """Two copies of the vertex set; an x->y edge per arc of the orientation."""
-
-    n: int
-    adj_x: list[list[int]]
-    host: Graph
-
-    def degrees_regular(self) -> int | None:
-        """Common degree if the double is regular on both sides, else None."""
-        if self.n == 0:
-            return 0
-        d = len(self.adj_x[0])
-        ind = [0] * self.n
-        for x in range(self.n):
-            if len(self.adj_x[x]) != d:
-                return None
-            for y in self.adj_x[x]:
-                ind[y] += 1
-        return d if all(i == d for i in ind) else None
-
-
-def bipartite_double(o: Orientation) -> BipartiteDouble:
-    return BipartiteDouble(n=o.host.n, adj_x=[list(heads) for heads in o.out], host=o.host)
-
-
-def bipartite_perfect_matching(b: BipartiteDouble) -> list[int]:
-    """Perfect matching of the double; exists whenever the double is regular."""
-    match = hopcroft_karp(b.adj_x, b.n)
-    if any(m == -1 for m in match):
-        raise ValueError("bipartite double has no perfect matching (input not regular?)")
-    return match
-
-
-def matching_to_2factor(match: list[int], b: BipartiteDouble) -> list[list[int]]:
+def matching_to_2factor(match: list[int]) -> list[list[int]]:
     """Permutation cycles of the matching = spanning cycle cover of the host."""
-    n = b.n
+    n = len(match)
     seen = [False] * n
     cycles: list[list[int]] = []
     for start in range(n):
@@ -135,19 +101,25 @@ def peel_all(h: Graph, r: int | None = None) -> TwoFactorSet:
         raise ValueError(f"need even regular degree, got r={r}, degree={deg}")
     o = euler_orient(h)
     o.validate()
-    double = bipartite_double(o)
+    # the bipartite double: x -> y for each arc of the orientation
+    adj_x = [list(heads) for heads in o.out]
     tf = TwoFactorSet(host=h)
     expected = r // 2
     for round_idx in range(expected):
-        d = double.degrees_regular()
-        if d != expected - round_idx:
-            raise AssertionError(
-                f"double not {expected - round_idx}-regular before round {round_idx}"
-            )
-        match = bipartite_perfect_matching(double)
-        tf.factors.append(matching_to_2factor(match, double))
-        for x in range(double.n):
-            double.adj_x[x].remove(match[x])
+        left = expected - round_idx
+        ind = [0] * h.n
+        for heads in adj_x:
+            for y in heads:
+                ind[y] += 1
+        if any(len(heads) != left for heads in adj_x) or any(i != left for i in ind):
+            raise AssertionError(f"double not {left}-regular before round {round_idx}")
+        # a regular bipartite graph always has a perfect matching
+        match = hopcroft_karp(adj_x, h.n)
+        if -1 in match:
+            raise ValueError("bipartite double has no perfect matching (input not regular?)")
+        tf.factors.append(matching_to_2factor(match))
+        for x, y in enumerate(match):
+            adj_x[x].remove(y)
     return tf
 
 

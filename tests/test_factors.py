@@ -8,7 +8,6 @@ import pytest
 
 from hamdecomp.factors import (
     _Dinic,
-    boundary_growth_probe,
     build_gadget,
     extract_r_factor,
     extract_with_retry,
@@ -16,7 +15,7 @@ from hamdecomp.factors import (
     tutte_quantities,
 )
 from hamdecomp.graph import Graph
-from hamdecomp.matching import matching_pairs, max_matching_general
+from hamdecomp.matching import max_matching_general
 from hamdecomp.sampler import Params, sample_gnp, split
 
 
@@ -187,27 +186,6 @@ class TestExtraction:
         assert r >= 2 and r % 2 == 0
         assert all(f.degree(v) == r for v in range(params.n))
         assert f.edges <= s.g1.edges
-
-
-class TestBoundaryProbe:
-    def test_complete_singleton(self):
-        report = boundary_growth_probe(Graph.complete(20), {0}, 19, 1.0)
-        assert report["b"] == 19
-
-    def test_degenerate_full_set(self):
-        report = boundary_growth_probe(Graph.complete(5), set(range(5)), 4, 1.0)
-        assert report["degenerate"]
-        assert report["regime"] is None
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            boundary_growth_probe(Graph.complete(5), set(), 4, 1.0)
-
-    def test_sampled_small_regime(self):
-        g = sample_gnp(500, 0.05, 7)
-        report = boundary_growth_probe(g, set(range(5)), g.min_degree(), 0.05)
-        assert report["regime"] in ("small", "large")
-        assert "inequality" in report
 
 
 def recursive_max_flow(net: _Dinic, s: int, t: int) -> int:

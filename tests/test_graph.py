@@ -1,4 +1,4 @@
-"""Graph core: edge counting, boundaries, components, serialization."""
+"""Graph core: edge counting, components, serialization."""
 import pytest
 from hypothesis import given, strategies as st
 
@@ -35,8 +35,6 @@ class TestBasics:
         assert g.degree(0) == g.degree(2) == 1
         g.add_edge(0, 2)  # idempotent
         assert g.num_edges == 1
-        g.remove_edge(0, 2)
-        assert g.num_edges == 0
 
     def test_rejects_bad_edges(self):
         g = Graph(3)
@@ -83,25 +81,6 @@ class TestEdgeCountBetween:
         if a and b:
             internal = g.edge_count_between(a, a) + g.edge_count_between(b, b)
             assert internal + g.edge_count_between(a, b) == g.num_edges
-
-
-class TestBoundary:
-    def test_complete(self):
-        assert Graph.complete(5).boundary({0}) == {1, 2, 3, 4}
-
-    def test_cycle(self):
-        assert Graph.cycle(6).boundary({0, 1}) == {2, 5}
-
-    def test_isolated(self):
-        g = Graph(3, [(0, 1)])
-        assert g.boundary({2}) == set()
-
-    @given(random_graph_strategy())
-    def test_boundary_properties(self, g):
-        a = set(range(0, g.n, 2))
-        b = g.boundary(a)
-        assert not (b & a)
-        assert all(g.adj(v) & a for v in b)
 
 
 class TestComponents:

@@ -12,13 +12,16 @@ from hamdecomp.matching import (
     greedy_matching,
     hopcroft_karp,
     is_perfect,
-    matching_pairs,
     max_matching_general,
 )
 
 
 def _adj(g: Graph) -> list[list[int]]:
     return [g.neighbors(v) for v in range(g.n)]
+
+
+def matching_size(match: list[int]) -> int:
+    return sum(1 for v, u in enumerate(match) if u > v)
 
 
 def _check_valid(adj, match):
@@ -32,12 +35,12 @@ class TestGeneralMatching:
     def test_c6_perfect(self):
         match = max_matching_general(_adj(Graph.cycle(6)))
         assert is_perfect(match)
-        assert len(matching_pairs(match)) == 3
+        assert matching_size(match) == 3
 
     def test_star_not_perfect(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])  # K_{1,3}
         match = max_matching_general(_adj(g))
-        assert len(matching_pairs(match)) == 1
+        assert matching_size(match) == 1
         assert not is_perfect(match)
 
     def test_petersen_perfect(self):
@@ -53,7 +56,7 @@ class TestGeneralMatching:
         # triangle with a pendant: maximum matching has size 2
         g = Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
         match = max_matching_general(_adj(g))
-        assert len(matching_pairs(match)) == 2
+        assert matching_size(match) == 2
 
     def test_seeded_init_respected(self):
         g = Graph.cycle(6)
@@ -74,7 +77,7 @@ class TestGeneralMatching:
         adj = _adj(g)
         match = max_matching_general(adj)
         _check_valid(adj, match)
-        assert len(matching_pairs(match)) == brute_max_matching_size(adj)
+        assert matching_size(match) == brute_max_matching_size(adj)
 
 
 class TestGreedy:

@@ -1,0 +1,69 @@
+"""Production code carries no helper that only tests call.
+
+Every top-level function and class in ``src/hamdecomp``, and every method
+of those classes, must be named somewhere in ``src/``, ``perfbench/`` or
+``scripts/`` besides its own definition.  The exceptions are the reference
+oracles that tests compare the pipeline against.
+"""
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# name -> why only tests call it
+REFERENCE_ORACLES = {
+    "factors.tutte_quantities": "R_r(S,T) and Q_r(S,T) of one partition, "
+                                "checked against the exhaustive oracle",
+    "factors.tutte_check_exhaustive": "exhaustive r-factor existence oracle",
+    "matching.brute_max_matching_size": "exhaustive maximum-matching oracle",
+    "oracles.ordered_2factor_count": "closed-form 2-factor counts for the census",
+    "oracles.FactorCensus.at_least": "census tail counts",
+    "graph.Graph.from_text": "reads back the edge list that `run --graph-out` writes",
+}
+
+
+def definitions() -> list[tuple[str, str]]:
+    """(qualified name, bare name) of each top-level def and class of the
+    package and of each method of those classes, dunders left out."""
+    out = []
+    for path in sorted((ROOT / "src" / "hamdecomp").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            out.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                out.extend(
+                    (f"{path.stem}.{node.name}.{sub.name}", sub.name)
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)
+                    and not (sub.name.startswith("__") and sub.name.endswith("__"))
+                )
+    return out
+
+
+def named_only_by_tests() -> list[str]:
+    text = "\n".join(
+        path.read_text()
+        for top in ("src", "perfbench", "scripts")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    )
+    mentions = Counter(re.findall(r"\w+", text))
+    defined = Counter(re.findall(r"\b(?:def|class)\s+(\w+)", text))
+    return [q for q, name in definitions() if mentions[name] <= defined[name]]
+
+
+def test_scan_sees_the_package():
+    names = {q for q, _ in definitions()}
+    assert {"rotation.convert_all", "graph.Graph.add_edge", "factors._Dinic.max_flow"} <= names
+
+
+def test_only_reference_oracles_are_test_only():
+    unused = named_only_by_tests()
+    assert sorted(set(unused) - REFERENCE_ORACLES.keys()) == []
+
+
+def test_every_allowlisted_oracle_exists_and_is_test_only():
+    # an entry whose code is gone, or now used by the pipeline, goes too
+    assert sorted(REFERENCE_ORACLES.keys() - set(named_only_by_tests())) == []

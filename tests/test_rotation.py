@@ -14,11 +14,12 @@ from hamdecomp.graph import BrokenTwoFactor, Graph, norm_edge, path_edges
 from hamdecomp.rotation import (
     GammaView,
     TranscriptRecord,
+    _RotatedPath,
+    _grow_side,
     absorb_cycle,
     apply,
     break_to_path,
     convert_all,
-    expansion_probe,
     posa_search,
     replay,
     rotate,
@@ -220,20 +221,7 @@ def explicit_endpoint_sizes(path, gamma, max_levels=16):
     return sizes
 
 
-class TestExpansionProbe:
-    def test_trivial_short_path(self):
-        host = Graph.complete(4)
-        report = expansion_probe([0, 1], GammaView(host, set()))
-        assert report["trivial"]
-
-    def test_dense_gamma_growth(self):
-        host = Graph.complete(12)
-        path = list(range(12))
-        gamma = GammaView(host, path_edges(path))
-        report = expansion_probe(path, gamma)
-        assert not report["trivial"]
-        assert all(lvl["inequality_holds"] for lvl in report["levels"])
-
+class TestRotationReach:
     def test_endpoint_sets_match_explicit_rotations(self):
         # reference: the same level-by-level search over explicit path copies
         # made by the elementary move; a wrong shortcut in the implicit
@@ -244,15 +232,17 @@ class TestExpansionProbe:
                     broken, gamma = random_broken(n, seed, q)
                     if len(broken.path) < 3:
                         continue
-                    report = expansion_probe(broken.path, gamma)
-                    sizes = [lvl["s_next"] for lvl in report["levels"]]
+                    # with no off-path vertex nothing ends the search, and
+                    # a state's level is its number of cuts
+                    _, _, states = _grow_side(_RotatedPath(broken.path), gamma, set(),
+                                              max_states=10**9, max_levels=16)
+                    levels = [len(cuts) for cuts, _, _, _ in states]
+                    sizes = []
+                    for level in range(1, 17):
+                        sizes.append(sum(1 for k in levels if k <= level))
+                        if level not in levels:
+                            break
                     assert sizes == explicit_endpoint_sizes(broken.path, gamma), (n, q, seed)
-
-    def test_extend_availability_flagged(self):
-        g0, _ = two_triangle_fixture([(1, 3)])
-        broken = BrokenTwoFactor(n=6, cycles=[[3, 4, 5]], path=[0, 2, 1])
-        report = expansion_probe(broken.path, GammaView(g0, broken.edges()))
-        assert report["extend_available"]
 
 
 def desk_params(n=6):

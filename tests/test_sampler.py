@@ -1,6 +1,7 @@
 """Sampler: G(n,p) generation, the two-phase split, derived parameters,
 and the preflight diagnostics."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ class TestSplit:
         mean = g0.num_edges * params.eta / 4
         hits = 0
         for seed in range(20):
-            s = split(g0, params, seed=seed)
+            s = split(g0, replace(params, seed=seed))
             if abs(s.g2.num_edges - mean) <= 0.15 * mean:
                 hits += 1
         assert hits >= 18

@@ -4,9 +4,9 @@ import pytest
 from hamdecomp.factors import extract_with_retry
 from hamdecomp.graph import Graph, cycle_cover_edges
 from hamdecomp.sampler import Params, sample_gnp, split
+from hamdecomp import twofactor
+from hamdecomp.matching import hopcroft_karp
 from hamdecomp.twofactor import (
-    bipartite_double,
-    bipartite_perfect_matching,
     cycle_statistics,
     euler_orient,
     matching_to_2factor,
@@ -36,40 +36,65 @@ class TestEulerOrient:
 
 
 class TestBipartiteDouble:
+    """The double has an x -> y edge per arc x -> y of the orientation, so
+    its adjacency is the orientation's out-lists."""
+
     def test_directed_triangle(self):
-        b = bipartite_double(euler_orient(Graph.cycle(3)))
-        assert b.degrees_regular() == 1
-        match = bipartite_perfect_matching(b)
+        o = euler_orient(Graph.cycle(3))
+        assert all(len(heads) == 1 for heads in o.out) and o.in_degrees() == [1, 1, 1]
+        match = hopcroft_karp(o.out, 3)
         assert sorted(match) == [0, 1, 2]
 
     def test_k5_double_regular(self):
-        b = bipartite_double(euler_orient(Graph.complete(5)))
-        assert b.degrees_regular() == 2
+        o = euler_orient(Graph.complete(5))
+        assert all(len(heads) == 2 for heads in o.out) and o.in_degrees() == [2] * 5
 
     def test_empty_host(self):
-        b = bipartite_double(euler_orient(Graph(0)))
-        assert b.degrees_regular() == 0
+        o = euler_orient(Graph(0))
+        o.validate()
+        assert o.out == [] and o.in_degrees() == []
 
-    def test_matching_failure_reported(self):
-        from hamdecomp.twofactor import BipartiteDouble
+    def test_matching_failure_reported(self, monkeypatch):
+        # a matcher that leaves a vertex unmatched must not become a factor
+        def short(adj, n):
+            match = hopcroft_karp(adj, n)
+            match[0] = -1
+            return match
 
-        b = BipartiteDouble(n=2, adj_x=[[0], []], host=Graph(2))
-        with pytest.raises(ValueError):
-            bipartite_perfect_matching(b)
+        monkeypatch.setattr(twofactor, "hopcroft_karp", short)
+        with pytest.raises(ValueError, match="no perfect matching"):
+            peel_all(Graph.complete(5))
+
+    def test_skewed_orientation_trips_the_regularity_check(self, monkeypatch):
+        # out-degrees 3, 1, 2, 2, 2 on K5: not a balanced orientation; with
+        # validate bypassed, the per-round check must still catch it
+        skewed = {0: [1, 2, 3], 1: [2], 2: [3, 4], 3: [4, 1], 4: [0, 1]}
+
+        def orient(h):
+            return twofactor.Orientation(host=h, out=[skewed[v] for v in range(h.n)])
+
+        monkeypatch.setattr(twofactor, "euler_orient", orient)
+        monkeypatch.setattr(twofactor.Orientation, "validate", lambda self: None)
+        with pytest.raises(AssertionError, match="2-regular before round 0"):
+            peel_all(Graph.complete(5))
 
 
 class TestMatchingToFactor:
     def test_cn_identity(self):
-        b = bipartite_double(euler_orient(Graph.cycle(7)))
-        cycles = matching_to_2factor(bipartite_perfect_matching(b), b)
+        o = euler_orient(Graph.cycle(7))
+        cycles = matching_to_2factor(hopcroft_karp(o.out, 7))
         assert len(cycles) == 1
         assert sorted(cycles[0]) == list(range(7))
 
     def test_k5_single_five_cycle(self):
         # 5 has no partition into parts >= 3 other than (5)
-        b = bipartite_double(euler_orient(Graph.complete(5)))
-        cycles = matching_to_2factor(bipartite_perfect_matching(b), b)
+        o = euler_orient(Graph.complete(5))
+        cycles = matching_to_2factor(hopcroft_karp(o.out, 5))
         assert [len(c) for c in cycles] == [5]
+
+    def test_rejects_a_two_cycle(self):
+        with pytest.raises(ValueError, match="shorter than 3"):
+            matching_to_2factor([1, 0, 3, 4, 2])
 
 
 def _assert_exact_peel(h: Graph, r: int):
