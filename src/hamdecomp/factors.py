@@ -8,6 +8,7 @@ and falls back to the exact gadget matching when it comes up short.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .graph import Graph, euler_circuits
@@ -222,8 +223,15 @@ class _Dinic:
         return idx
 
     def max_flow(self, s: int, t: int) -> int:
-        from collections import deque
+        """Dinic's algorithm; each blocking flow is one depth-first walk with
+        current-arc pointers ``it``, kept on an explicit stack of arcs.
 
+        A dead end advances its parent's pointer.  After a push the walk
+        retreats to the tail of the first arc the push saturated: a restart
+        at s would follow the same pointers down the same unsaturated
+        prefix, so the paths and their order are those of a restart.
+        """
+        head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
             level = [-1] * self.n
@@ -231,47 +239,41 @@ class _Dinic:
             q = deque([s])
             while q:
                 u = q.popleft()
-                for i in self.head[u]:
-                    if self.cap[i] > 0 and level[self.to[i]] == -1:
-                        level[self.to[i]] = level[u] + 1
-                        q.append(self.to[i])
+                for i in head[u]:
+                    if cap[i] > 0 and level[to[i]] == -1:
+                        level[to[i]] = level[u] + 1
+                        q.append(to[i])
             if level[t] == -1:
                 return flow
             it = [0] * self.n
+            path: list[int] = []
+            u = s
             while True:
-                pushed = self._augment(s, t, level, it)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """Push flow along one s-t path of the level graph; returns the
-        amount, 0 when none is left.
-
-        Depth-first with current-arc pointers ``it``, kept on an explicit
-        stack of arcs: a dead end advances its parent's pointer.
-        """
-        head, to, cap = self.head, self.to, self.cap
-        path: list[int] = []
-        u = s
-        while u != t:
-            while it[u] < len(head[u]):
-                i = head[u][it[u]]
-                if cap[i] > 0 and level[to[i]] == level[u] + 1:
-                    path.append(i)
-                    u = to[i]
-                    break
-                it[u] += 1
-            else:
-                if not path:
-                    return 0
-                u = to[path.pop() ^ 1]
-                it[u] += 1
-        pushed = min(cap[i] for i in path)
-        for i in path:
-            cap[i] -= pushed
-            cap[i ^ 1] += pushed
-        return pushed
+                if u == t:
+                    caps = [cap[i] for i in path]
+                    pushed = min(caps)
+                    for i in path:
+                        cap[i] -= pushed
+                        cap[i ^ 1] += pushed
+                    flow += pushed
+                    first = caps.index(pushed)
+                    u = to[path[first] ^ 1]
+                    del path[first:]
+                    continue
+                arcs, nxt = head[u], level[u] + 1
+                for k in range(it[u], len(arcs)):
+                    i = arcs[k]
+                    if cap[i] > 0 and level[to[i]] == nxt:
+                        it[u] = k
+                        path.append(i)
+                        u = to[i]
+                        break
+                else:
+                    it[u] = len(arcs)
+                    if not path:
+                        break
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
 
 
 def _balanced_orientation(g: Graph, rotate: int = 0) -> list[tuple[int, int]]:
@@ -292,33 +294,66 @@ def _balanced_orientation(g: Graph, rotate: int = 0) -> list[tuple[int, int]]:
         for v in range(len(adj)):
             k = rotate % max(1, len(adj[v]))
             adj[v] = adj[v][k:] + adj[v][:k]
-    arcs: list[tuple[int, int]] = []
-    for circuit in euler_circuits(adj):
-        for a, b in zip(circuit, circuit[1:]):
-            if a != virtual and b != virtual:
-                arcs.append((a, b))
-    return arcs
+    return [
+        (a, b)
+        for circuit in euler_circuits(adj)
+        for a, b in zip(circuit, circuit[1:])
+        if a != virtual and b != virtual
+    ]
 
 
 def _factor_via_flow(g: Graph, r: int, rotate: int = 0) -> Graph | None:
-    """Even-r factor through a balanced orientation + exact-degree flow."""
+    """Even-r factor through a balanced orientation + exact-degree flow.
+
+    The network has arcs s -> v and v' -> t of capacity r/2 and one arc
+    u -> w' of capacity 1 per arc u -> w of the orientation; a factor is a
+    flow of n*r/2.  Its first level graph is s -> V -> V' -> t, so Dinic's
+    first blocking flow is one greedy pass: each v in ascending order takes
+    its arcs in order while v and the head w' both have capacity left.
+    That pass runs here, and ``max_flow`` runs the remaining phases.
+    """
     assert r % 2 == 0
     arcs = _balanced_orientation(g, rotate)
     n = g.n
     half = r // 2
     s, t = 2 * n, 2 * n + 1
-    net = _Dinic(2 * n + 2)
+    # the arc ids ``add`` would give: s -> v, v -> s, v' -> t, t -> v' are
+    # 4v .. 4v+3, and the k-th orientation arc u -> w' and its reverse are
+    # m + 2k and m + 2k + 1
+    m = 4 * n
+    to = [x for v in range(n) for x in (v, s, t, n + v)]
+    head = [[4 * v + 1] for v in range(n)] + [[4 * v + 2] for v in range(n)]
+    head.append(list(range(0, m, 4)))
+    head.append(list(range(3, m, 4)))
+    for i, (u, w) in enumerate(arcs, start=m // 2):
+        to += (n + w, u)
+        head[u].append(2 * i)
+        head[n + w].append(2 * i + 1)
+    cap = [half, 0, half, 0] * n + [1, 0] * len(arcs)
+    # Dinic's first phase; head[v][0] is the reverse arc v -> s
+    in_room = [half] * n
+    pushed = 0
     for v in range(n):
-        net.add(s, v, half)
-        net.add(n + v, t, half)
-    arc_ids = [net.add(u, n + v, 1) for u, v in arcs]
-    if net.max_flow(s, t) != n * half:
+        room = half
+        for i in head[v][1:]:
+            w = to[i] - n
+            if in_room[w]:
+                in_room[w] -= 1
+                cap[i], cap[i + 1] = 0, 1
+                room -= 1
+                if not room:
+                    break
+        cap[4 * v], cap[4 * v + 1] = room, half - room
+        pushed += half - room
+    for w in range(n):
+        cap[4 * w + 2], cap[4 * w + 3] = in_room[w], half - in_room[w]
+    net = _Dinic(2 * n + 2)
+    net.to, net.cap, net.head = to, cap, head
+    if pushed + net.max_flow(s, t) != n * half:
         return None
-    f = Graph(n)
-    for (u, v), idx in zip(arcs, arc_ids):
-        if net.cap[idx] == 0:
-            f.add_edge(u, v)
-    return f
+    return Graph.from_pairs(n, [
+        (u, w) if u < w else (w, u) for k, (u, w) in enumerate(arcs) if not cap[m + 2 * k]
+    ])
 
 
 # -- extraction ---------------------------------------------------------------

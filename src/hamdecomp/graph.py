@@ -174,26 +174,30 @@ def euler_circuits(adj: list[list[int]]) -> Iterator[list[int]]:
     Hierholzer's algorithm: circuits start at each vertex in turn while it
     has unused edges, and each vertex scans its neighbours in the order of
     ``adj[v]``, so callers choose the orientation through that order.
+    An edge {u, w} is marked used by the integer min(u, w)·N + max(u, w),
+    with N = len(adj).
     """
-    ptr = [0] * len(adj)
-    used: set[tuple[int, int]] = set()
-    for start in range(len(adj)):
+    big_n = len(adj)
+    ptr = [0] * big_n
+    used: set[int] = set()
+    for start in range(big_n):
         while ptr[start] < len(adj[start]):
             stack = [start]
             circuit: list[int] = []
             while stack:
                 u = stack[-1]
-                advanced = False
-                while ptr[u] < len(adj[u]):
-                    w = adj[u][ptr[u]]
-                    ptr[u] += 1
-                    if norm_edge(u, w) not in used:
-                        used.add(norm_edge(u, w))
+                nbrs, k = adj[u], ptr[u]
+                while k < len(nbrs):
+                    w = nbrs[k]
+                    k += 1
+                    key = u * big_n + w if u < w else w * big_n + u
+                    if key not in used:
+                        used.add(key)
                         stack.append(w)
-                        advanced = True
                         break
-                if not advanced:
+                else:
                     circuit.append(stack.pop())
+                ptr[u] = k
             circuit.reverse()
             yield circuit
 

@@ -409,7 +409,10 @@ class ConversionResult:
     hamilton_cycles: list[list[int]]
     per_factor: list[dict]
     ledger: list[StepRecord]
+    # each factor's last attempt; a retry replaces the first attempt's
+    # transcript, which moves to earlier_transcripts under (factor, pass)
     transcripts: dict[int, list[TranscriptRecord]]
+    earlier_transcripts: dict[tuple[int, int], list[TranscriptRecord]]
     steps: int
     total_rotations: int
     g2_consumed: int
@@ -438,6 +441,7 @@ def convert_all(
     per_factor: list[dict] = []
     ledger: list[StepRecord] = []
     transcripts: dict[int, list[TranscriptRecord]] = {}
+    earlier_transcripts: dict[tuple[int, int], list[TranscriptRecord]] = {}
     audit_failures: list[str] = []
     pending: set[int] = set(range(len(factors)))
     # the one reservoir of the conversion; every pending factor is committed
@@ -495,6 +499,8 @@ def convert_all(
         pending.discard(fi)
         broken, brec = break_to_path([list(c) for c in factors[fi]], n)
         transcript = [brec]
+        if fi in transcripts:
+            earlier_transcripts[fi, pass_no - 1] = transcripts[fi]
         transcripts[fi] = transcript
         fstar = broken.edges()
         gamma.take(factor_edges[fi])
@@ -597,6 +603,7 @@ def convert_all(
         per_factor=per_factor,
         ledger=ledger,
         transcripts=transcripts,
+        earlier_transcripts=earlier_transcripts,
         steps=step,
         total_rotations=total_rot,
         g2_consumed=g2_consumed,

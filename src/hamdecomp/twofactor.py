@@ -101,25 +101,26 @@ def peel_all(h: Graph, r: int | None = None) -> TwoFactorSet:
         raise ValueError(f"need even regular degree, got r={r}, degree={deg}")
     o = euler_orient(h)
     o.validate()
-    # the bipartite double: x -> y for each arc of the orientation
+    # the bipartite double: x -> y for each arc of the orientation; ind
+    # keeps its in-degrees up to date as each matching is removed
     adj_x = [list(heads) for heads in o.out]
+    ind = o.in_degrees()
     tf = TwoFactorSet(host=h)
     expected = r // 2
     for round_idx in range(expected):
         left = expected - round_idx
-        ind = [0] * h.n
-        for heads in adj_x:
-            for y in heads:
-                ind[y] += 1
         if any(len(heads) != left for heads in adj_x) or any(i != left for i in ind):
             raise AssertionError(f"double not {left}-regular before round {round_idx}")
         # a regular bipartite graph always has a perfect matching
         match = hopcroft_karp(adj_x, h.n)
         if -1 in match:
             raise ValueError("bipartite double has no perfect matching (input not regular?)")
-        tf.factors.append(matching_to_2factor(match))
         for x, y in enumerate(match):
             adj_x[x].remove(y)
+            ind[y] -= 1
+            if ind[y] < left - 1:
+                raise AssertionError(f"round {round_idx} matched {y} twice")
+        tf.factors.append(matching_to_2factor(match))
     return tf
 
 

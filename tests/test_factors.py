@@ -6,8 +6,11 @@ from itertools import combinations
 
 import pytest
 
+from hamdecomp import factors
 from hamdecomp.factors import (
+    _balanced_orientation,
     _Dinic,
+    _factor_via_flow,
     build_gadget,
     extract_r_factor,
     extract_with_retry,
@@ -266,3 +269,61 @@ class TestIterativeDinic:
         with pytest.raises(RecursionError):
             recursive_max_flow(ref, 0, m - 1)
         assert net.max_flow(0, m - 1) == 2
+
+
+def reference_factor_via_flow(g: Graph, r: int, rotate: int) -> tuple[Graph | None, _Dinic]:
+    """Reference: the flow route on a plain ``_Dinic``, the network built arc
+    by arc with ``add`` and every phase, the first one too, run by
+    ``max_flow``."""
+    arcs = _balanced_orientation(g, rotate)
+    n, half = g.n, r // 2
+    s, t = 2 * n, 2 * n + 1
+    net = _Dinic(2 * n + 2)
+    for v in range(n):
+        net.add(s, v, half)
+        net.add(n + v, t, half)
+    arc_ids = [net.add(u, n + v, 1) for u, v in arcs]
+    if net.max_flow(s, t) != n * half:
+        return None, net
+    f = Graph(n)
+    for (u, v), idx in zip(arcs, arc_ids):
+        if net.cap[idx] == 0:
+            f.add_edge(u, v)
+    return f, net
+
+
+class TestFlowFirstPhase:
+    def test_greedy_first_phase_matches_plain_dinic(self, monkeypatch):
+        built: list[_Dinic] = []
+
+        class Recorded(_Dinic):
+            def __init__(self, n):
+                super().__init__(n)
+                built.append(self)
+
+        monkeypatch.setattr(factors, "_Dinic", Recorded)
+        rnd = random.Random(5)
+        outcomes = set()
+        for seed in range(24):
+            n = rnd.randint(40, 120)
+            g = random_graph(n, rnd.uniform(0.08, 0.5), seed)
+            top = 2 * (g.min_degree() // 2)
+            if top < 2:
+                continue
+            for r in sorted({2, top, rnd.randrange(2, top + 1, 2)}):
+                for rotate in range(3):
+                    f = _factor_via_flow(g, r, rotate)
+                    want, ref = reference_factor_via_flow(g, r, rotate)
+                    net = built.pop()
+                    assert (net.to, net.head) == (ref.to, ref.head), (seed, r, rotate)
+                    assert net.cap == ref.cap, (seed, r, rotate)
+                    outcomes.add(f is not None)
+                    if want is None:
+                        assert f is None
+                        continue
+                    # the same graph, down to the iteration order of its sets
+                    assert list(f.edges) == list(want.edges)
+                    assert [list(f.adj(v)) for v in range(n)] == [
+                        list(want.adj(v)) for v in range(n)
+                    ]
+        assert outcomes == {True, False}

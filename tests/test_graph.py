@@ -1,12 +1,16 @@
-"""Graph core: edge counting, components, serialization."""
+"""Graph core: edge counting, components, serialization, Euler circuits."""
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from hamdecomp import factors
 from hamdecomp.graph import (
     BrokenTwoFactor,
     Graph,
     check_cycle_cover,
     cycle_cover_edges,
+    euler_circuits,
     norm_edge,
     path_edges,
 )
@@ -189,3 +193,98 @@ class TestBrokenTwoFactor:
         b.validate(host)
         assert host.has_edge(b.path[0], b.path[-1])
         assert host.verify_hamilton_cycle(b.path)
+
+
+def reference_euler_circuits(adj):
+    """Reference: Hierholzer's algorithm marking used edges in a set of
+    ``norm_edge`` pairs."""
+    ptr = [0] * len(adj)
+    used = set()
+    for start in range(len(adj)):
+        while ptr[start] < len(adj[start]):
+            stack = [start]
+            circuit = []
+            while stack:
+                u = stack[-1]
+                advanced = False
+                while ptr[u] < len(adj[u]):
+                    w = adj[u][ptr[u]]
+                    ptr[u] += 1
+                    if norm_edge(u, w) not in used:
+                        used.add(norm_edge(u, w))
+                        stack.append(w)
+                        advanced = True
+                        break
+                if not advanced:
+                    circuit.append(stack.pop())
+            circuit.reverse()
+            yield circuit
+
+
+def random_even_edges(verts, rnd):
+    """Edge set of the symmetric difference of a few random cycles on
+    ``verts``: every degree is even."""
+    edges = set()
+    for _ in range(rnd.randint(1, 6)):
+        cyc = rnd.sample(verts, rnd.randint(3, len(verts)))
+        edges ^= {norm_edge(cyc[i], cyc[i - 1]) for i in range(len(cyc))}
+    return edges
+
+
+def shuffled_adjacency(n, edges, rnd):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in adj:
+        rnd.shuffle(nbrs)
+    return adj
+
+
+class TestEulerCircuits:
+    def test_matches_reference_on_random_even_graphs(self):
+        rnd = random.Random(11)
+        for _ in range(150):
+            n = rnd.randint(3, 60)
+            adj = shuffled_adjacency(n, random_even_edges(list(range(n)), rnd), rnd)
+            assert list(euler_circuits(adj)) == list(reference_euler_circuits(adj))
+
+    def test_matches_reference_on_disconnected_graphs(self):
+        rnd = random.Random(12)
+        for _ in range(60):
+            n = rnd.randint(8, 80)
+            verts = list(range(n))
+            rnd.shuffle(verts)
+            edges, lo = set(), 0
+            # two to four even components on shuffled ids; the rest isolated
+            for _ in range(rnd.randint(2, 4)):
+                size = rnd.randint(3, max(3, n // 4))
+                if lo + size > n:
+                    break
+                edges |= random_even_edges(verts[lo:lo + size], rnd)
+                lo += size
+            adj = shuffled_adjacency(n, edges, rnd)
+            got = list(euler_circuits(adj))
+            assert got == list(reference_euler_circuits(adj))
+            assert sum(len(c) - 1 for c in got) == len(edges)
+
+    def test_matches_reference_on_balanced_orientation_input(self, monkeypatch):
+        # the adjacency _balanced_orientation builds: odd-degree vertices
+        # joined to a virtual vertex, each list rotated by ``rotate``
+        seen = []
+
+        def spy(adj):
+            seen.append([list(nbrs) for nbrs in adj])
+            return euler_circuits(adj)
+
+        monkeypatch.setattr(factors, "euler_circuits", spy)
+        rnd = random.Random(13)
+        for _ in range(20):
+            n = rnd.randint(10, 70)
+            p = rnd.uniform(0.1, 0.6)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rnd.random() < p])
+            for rotate in range(3):
+                factors._balanced_orientation(g, rotate)
+                adj = seen.pop()
+                assert list(euler_circuits(adj)) == list(reference_euler_circuits(adj))

@@ -323,23 +323,42 @@ class TestConvertAll:
             used |= es
 
     def test_ledger_is_the_net_of_each_steps_records(self):
-        # a small state cap makes this conversion rotate and reopen a close
-        params = Params(n=81, p0=0.6, eta=0.05, seed=45423)
-        s = split(sample_gnp(params.n, params.p0, params.seed), params)
-        f, r = extract_with_retry(s.g1, params.r1)
-        tf = peel_all(f, r)
-        conv = convert_all(tf.factors, s.g0, s.g2, params, max_states=5)
-        assert all(o["pass"] == 1 for o in conv.per_factor)
-        records = [rec for fi in sorted(conv.transcripts) for rec in conv.transcripts[fi]]
+        runs = [
+            # a small state cap makes this conversion rotate and reopen a close
+            (Params(n=81, p0=0.6, eta=0.05, seed=45423), {"max_states": 5}),
+            # here factor 3 is abandoned, and its retry finishes it
+            (Params(n=56, p0=0.4, eta=0.5, seed=186597),
+             {"mode": "enforce", "max_states": 2, "max_levels": 1}),
+        ]
+        convs = []
+        for params, kwargs in runs:
+            s = split(sample_gnp(params.n, params.p0, params.seed), params)
+            f, r = extract_with_retry(s.g1, params.r1)
+            tf = peel_all(f, r)
+            convs.append(convert_all(tf.factors, s.g0, s.g2, params, **kwargs))
+        plain, retried = convs
+        records = [rec for fi in sorted(plain.transcripts) for rec in plain.transcripts[fi]]
         assert any(rec.kind == "close" and rec.deleted for rec in records)
-        assert conv.total_rotations > 0
-        for row in conv.ledger:
-            step = [rec for rec in conv.transcripts[row.factor] if rec.step == row.step]
-            added = [rec.added for rec in step]
-            deleted = [rec.deleted for rec in step if rec.deleted]
-            assert row.consumed == [e for e in added if e not in deleted]
-            assert row.returned == [e for e in deleted if e not in added]
-            assert row.rotations == sum(rec.kind == "rotate" for rec in step)
+        assert plain.total_rotations > 0
+        assert all(o["pass"] == 1 for o in plain.per_factor) and not plain.earlier_transcripts
+        assert [o["factor"] for o in retried.per_factor if o["pass"] == 2] == [3]
+        assert list(retried.earlier_transcripts) == [(3, 1)]
+        first_attempt = {rec.step for rec in retried.earlier_transcripts[3, 1]}
+        assert any(row.step in first_attempt for row in retried.ledger)
+        for conv in convs:
+            for row in conv.ledger:
+                attempts = [conv.transcripts[row.factor]] + [
+                    t for (fi, _), t in conv.earlier_transcripts.items() if fi == row.factor
+                ]
+                # every step is held by exactly one attempt
+                holders = [t for t in attempts if any(rec.step == row.step for rec in t)]
+                assert len(holders) == 1
+                step = [rec for rec in holders[0] if rec.step == row.step]
+                added = [rec.added for rec in step]
+                deleted = [rec.deleted for rec in step if rec.deleted]
+                assert row.consumed == [e for e in added if e not in deleted]
+                assert row.returned == [e for e in deleted if e not in added]
+                assert row.rotations == sum(rec.kind == "rotate" for rec in step)
 
 
 class TestPersistentReservoir:

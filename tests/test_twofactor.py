@@ -1,4 +1,7 @@
 """Two-factor peeling: Euler orientation, bipartite double, matching rounds."""
+import hashlib
+import json
+
 import pytest
 
 from hamdecomp.factors import extract_with_retry
@@ -77,6 +80,18 @@ class TestBipartiteDouble:
         monkeypatch.setattr(twofactor.Orientation, "validate", lambda self: None)
         with pytest.raises(AssertionError, match="2-regular before round 0"):
             peel_all(Graph.complete(5))
+
+    def test_non_permutation_matching_is_caught(self, monkeypatch):
+        # x = 0 swaps its partner for its other head: that head is matched
+        # twice, the one given up not at all, and no vertex is left at -1
+        def doubled(adj, n):
+            match = hopcroft_karp(adj, n)
+            match[0] = next(y for y in adj[0] if y != match[0])
+            return match
+
+        monkeypatch.setattr(twofactor, "hopcroft_karp", doubled)
+        with pytest.raises(AssertionError, match=r"round 0 matched \d+ twice"):
+            peel_all(Graph.complete(7))
 
 
 class TestMatchingToFactor:
@@ -159,3 +174,24 @@ class TestCycleStatistics:
         tf = TwoFactorSet(host=Graph.cycle(6), factors=[[[0, 1, 2, 3, 4, 5]]])
         stats = cycle_statistics(tf, params)
         assert stats["fraction_within_k0"] == 1.0
+
+
+# SHA-256 of r, the extracted factor's sorted edges and the peeled 2-factors
+# at n=600, p0=1/6, eta=0.25, recorded before the flow's first phase became
+# one greedy pass and before the Euler circuits keyed edges by integers.
+FRONT_DIGESTS = {
+    0: "6eb34e7e3d76289dd05f3eee492d5c6fa9c1f64ddbcf2828b57d839819bfc741",
+    1: "3d79061d31f73cb2b86832e853b063647ab2020d8068da96b0b5ecde12a25691",
+    2: "bb2ca796fb65339819dc9cb72bbd06491e863508bcee017a445bdf024eb42afc",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FRONT_DIGESTS))
+def test_extraction_and_peel_digest_pinned(seed):
+    params = Params(n=600, p0=1 / 6, eta=0.25, seed=seed)
+    s = split(sample_gnp(params.n, params.p0, params.seed), params)
+    f, r = extract_with_retry(s.g1, params.r1)
+    tf = peel_all(f, r)
+    doc = {"r": r, "factor": sorted(f.edges), "factors": tf.factors}
+    digest = hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+    assert digest == FRONT_DIGESTS[seed]
