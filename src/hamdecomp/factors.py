@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, euler_circuits
+from .graph import Graph, balanced_orientation
 from .matching import is_perfect, max_matching_general
 
 TUTTE_CAP = 12
@@ -205,101 +205,61 @@ def _greedy_degree_bounded_subgraph(g: Graph, r: int) -> Graph:
 # -- Dinic max-flow fast path over a balanced orientation ---------------------
 
 
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
+def max_flow(head: list[list[int]], to: list[int], cap: list[int], s: int, t: int) -> int:
+    """Dinic's algorithm on a residual network: ``head[u]`` lists the ids of
+    the arcs leaving u, arc i runs to ``to[i]`` with residual capacity
+    ``cap[i]``, and arc i ^ 1 is its reverse.  ``cap`` is updated in place.
 
-    def add(self, u: int, v: int, c: int) -> int:
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[u].append(idx)
-        self.to.append(u)
-        self.cap.append(0)
-        self.head[v].append(idx + 1)
-        return idx
-
-    def max_flow(self, s: int, t: int) -> int:
-        """Dinic's algorithm; each blocking flow is one depth-first walk with
-        current-arc pointers ``it``, kept on an explicit stack of arcs.
-
-        A dead end advances its parent's pointer.  After a push the walk
-        retreats to the tail of the first arc the push saturated: a restart
-        at s would follow the same pointers down the same unsaturated
-        prefix, so the paths and their order are those of a restart.
-        """
-        head, to, cap = self.head, self.to, self.cap
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for i in head[u]:
-                    if cap[i] > 0 and level[to[i]] == -1:
-                        level[to[i]] = level[u] + 1
-                        q.append(to[i])
-            if level[t] == -1:
-                return flow
-            it = [0] * self.n
-            path: list[int] = []
-            u = s
-            while True:
-                if u == t:
-                    caps = [cap[i] for i in path]
-                    pushed = min(caps)
-                    for i in path:
-                        cap[i] -= pushed
-                        cap[i ^ 1] += pushed
-                    flow += pushed
-                    first = caps.index(pushed)
-                    u = to[path[first] ^ 1]
-                    del path[first:]
-                    continue
-                arcs, nxt = head[u], level[u] + 1
-                for k in range(it[u], len(arcs)):
-                    i = arcs[k]
-                    if cap[i] > 0 and level[to[i]] == nxt:
-                        it[u] = k
-                        path.append(i)
-                        u = to[i]
-                        break
-                else:
-                    it[u] = len(arcs)
-                    if not path:
-                        break
-                    u = to[path.pop() ^ 1]
-                    it[u] += 1
-
-
-def _balanced_orientation(g: Graph, rotate: int = 0) -> list[tuple[int, int]]:
-    """Orient all edges so every vertex has |out - in| <= 1.
-
-    Odd-degree vertices are paired through a virtual vertex, Euler circuits
-    are traced per component, and virtual arcs dropped.  `rotate` perturbs
-    the adjacency scan order so retries explore different orientations.
+    Each blocking flow is one depth-first walk with current-arc pointers
+    ``it``, kept on an explicit stack of arcs.  A dead end advances its
+    parent's pointer.  After a push the walk retreats to the tail of the
+    first arc the push saturated: a restart at s would follow the same
+    pointers down the same unsaturated prefix, so the paths and their order
+    are those of a restart.
     """
-    n = g.n
-    adj: list[list[int]] = [g.neighbors(v) for v in range(n)]
-    odd = [v for v in range(n) if len(adj[v]) % 2 == 1]
-    virtual = n
-    for v in odd:
-        adj[v].append(virtual)
-    adj.append(list(odd))
-    if rotate:
-        for v in range(len(adj)):
-            k = rotate % max(1, len(adj[v]))
-            adj[v] = adj[v][k:] + adj[v][:k]
-    return [
-        (a, b)
-        for circuit in euler_circuits(adj)
-        for a, b in zip(circuit, circuit[1:])
-        if a != virtual and b != virtual
-    ]
+    n = len(head)
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for i in head[u]:
+                if cap[i] > 0 and level[to[i]] == -1:
+                    level[to[i]] = level[u] + 1
+                    q.append(to[i])
+        if level[t] == -1:
+            return flow
+        it = [0] * n
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                caps = [cap[i] for i in path]
+                pushed = min(caps)
+                for i in path:
+                    cap[i] -= pushed
+                    cap[i ^ 1] += pushed
+                flow += pushed
+                first = caps.index(pushed)
+                u = to[path[first] ^ 1]
+                del path[first:]
+                continue
+            arcs, nxt = head[u], level[u] + 1
+            for k in range(it[u], len(arcs)):
+                i = arcs[k]
+                if cap[i] > 0 and level[to[i]] == nxt:
+                    it[u] = k
+                    path.append(i)
+                    u = to[i]
+                    break
+            else:
+                it[u] = len(arcs)
+                if not path:
+                    break
+                u = to[path.pop() ^ 1]
+                it[u] += 1
 
 
 def _factor_via_flow(g: Graph, r: int, rotate: int = 0) -> Graph | None:
@@ -313,13 +273,12 @@ def _factor_via_flow(g: Graph, r: int, rotate: int = 0) -> Graph | None:
     That pass runs here, and ``max_flow`` runs the remaining phases.
     """
     assert r % 2 == 0
-    arcs = _balanced_orientation(g, rotate)
+    arcs = balanced_orientation(g, rotate)
     n = g.n
     half = r // 2
     s, t = 2 * n, 2 * n + 1
-    # the arc ids ``add`` would give: s -> v, v -> s, v' -> t, t -> v' are
-    # 4v .. 4v+3, and the k-th orientation arc u -> w' and its reverse are
-    # m + 2k and m + 2k + 1
+    # arc ids: s -> v, v -> s, v' -> t, t -> v' are 4v .. 4v+3, and the
+    # k-th orientation arc u -> w' and its reverse are m + 2k and m + 2k + 1
     m = 4 * n
     to = [x for v in range(n) for x in (v, s, t, n + v)]
     head = [[4 * v + 1] for v in range(n)] + [[4 * v + 2] for v in range(n)]
@@ -347,9 +306,7 @@ def _factor_via_flow(g: Graph, r: int, rotate: int = 0) -> Graph | None:
         pushed += half - room
     for w in range(n):
         cap[4 * w + 2], cap[4 * w + 3] = in_room[w], half - in_room[w]
-    net = _Dinic(2 * n + 2)
-    net.to, net.cap, net.head = to, cap, head
-    if pushed + net.max_flow(s, t) != n * half:
+    if pushed + max_flow(head, to, cap, s, t) != n * half:
         return None
     return Graph.from_pairs(n, [
         (u, w) if u < w else (w, u) for k, (u, w) in enumerate(arcs) if not cap[m + 2 * k]

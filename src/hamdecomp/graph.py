@@ -202,6 +202,32 @@ def euler_circuits(adj: list[list[int]]) -> Iterator[list[int]]:
             yield circuit
 
 
+def balanced_orientation(g: Graph, rotate: int = 0) -> list[tuple[int, int]]:
+    """Orient all edges so every vertex has |out - in| <= 1.
+
+    Odd-degree vertices are paired through a virtual vertex, Euler circuits
+    are traced per component, and virtual arcs dropped.  `rotate` perturbs
+    the adjacency scan order so retries explore different orientations.
+    """
+    n = g.n
+    adj: list[list[int]] = [g.neighbors(v) for v in range(n)]
+    odd = [v for v in range(n) if len(adj[v]) % 2 == 1]
+    virtual = n
+    for v in odd:
+        adj[v].append(virtual)
+    adj.append(list(odd))
+    if rotate:
+        for v in range(len(adj)):
+            k = rotate % max(1, len(adj[v]))
+            adj[v] = adj[v][k:] + adj[v][:k]
+    return [
+        (a, b)
+        for circuit in euler_circuits(adj)
+        for a, b in zip(circuit, circuit[1:])
+        if a != virtual and b != virtual
+    ]
+
+
 # -- cycle covers and broken 2-factors ---------------------------------------
 
 

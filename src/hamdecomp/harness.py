@@ -182,8 +182,8 @@ def _sweep_cell(args) -> tuple[list, str | None]:
     try:
         return run(params, mode=mode).csv_row(), None
     except Exception as exc:  # partial failures recorded per row
-        return ([params.n, params.p0, params.eta, params.seed,
-                 "error", str(exc), "", "", "", "", "", "", ""], traceback.format_exc())
+        row = [params.n, params.p0, params.eta, params.seed, "error", str(exc)]
+        return row + [""] * (len(CSV_HEADER) - len(row)), traceback.format_exc()
 
 
 def sweep(

@@ -26,15 +26,6 @@ class TranscriptRecord:
     deleted: tuple[int, int] | None = None
     added: tuple[int, int] | None = None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "step": self.step,
-            "kind": self.kind,
-            "pivot": self.pivot,
-            "deleted": list(self.deleted) if self.deleted else None,
-            "added": list(self.added) if self.added else None,
-        }
-
 
 class GammaView:
     """Reservoir adjacency: host edges not in the committed set.
@@ -509,12 +500,16 @@ def convert_all(
         steps_here = rot_here = 0
 
         def run(records) -> None:
-            """Apply records in order, keeping the transcript and F* in step."""
+            """Apply records in order, keeping the transcript, F* and the
+            reservoir in step."""
             for rec in records:
                 rec = apply(broken, rec)
                 transcript.append(rec)
                 fstar.add(rec.added)
-                fstar.discard(rec.deleted)
+                gamma.take([rec.added])
+                if rec.deleted:
+                    fstar.discard(rec.deleted)
+                    gamma.give([rec.deleted])
 
         status, extra, done = "hamilton", {}, False
         while not done:
@@ -540,14 +535,15 @@ def convert_all(
             elif done:
                 run([TranscriptRecord(step=step, kind="close", added=outcome.added)])
             else:
-                # close to C*, search an escape edge, reopen, absorb
+                # close to C*, search an escape edge, reopen, absorb; the
+                # step's moves so far change only edges within C*, so the
+                # escape search sees the off-path reservoir the step found
                 cstar = broken.path
                 offpath = broken.offpath_vertices()
                 escape = next(((y, z) for y in cstar for z in gamma.adj(y) if z in offpath),
                               None)
                 if escape is None:
-                    # the edges this step's rotations deleted are still committed
-                    gamma.give(fstar | {rec.deleted for rec in transcript[first:]})
+                    gamma.give(fstar)
                     status, extra = "abandoned", {"deadend": True}
                     break
                 y, z = escape
@@ -557,11 +553,6 @@ def convert_all(
                      TranscriptRecord(step=step, kind="absorb", added=norm_edge(y, z))])
             consumed = [rec.added for rec in transcript[first:]]
             returned = [rec.deleted for rec in transcript[first:] if rec.deleted]
-            # the reservoir follows the step only now: the escape search
-            # above must see it as the step found it
-            touched = set(consumed) | set(returned)
-            gamma.take(e for e in touched if e in fstar)
-            gamma.give(e for e in touched if e not in fstar)
             consumed_net = [e for e in consumed if e not in returned]
             returned_net = [e for e in returned if e not in consumed]
             within = None

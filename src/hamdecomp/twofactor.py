@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, check_cycle_cover, cycle_cover_edges, euler_circuits
+from .graph import Graph, balanced_orientation, check_cycle_cover, cycle_cover_edges
 from .matching import hopcroft_karp
 
 
@@ -38,14 +38,14 @@ class Orientation:
 
 
 def euler_orient(h: Graph) -> Orientation:
-    """Orient along Eulerian circuits of each component; needs even degrees."""
+    """Orient an even-degree graph so in-degree equals out-degree at every
+    vertex: the balanced orientation extraction uses, out-lists sorted."""
     odd = [v for v in range(h.n) if h.degree(v) % 2 == 1]
     if odd:
         raise ValueError(f"odd-degree vertices: {odd[:5]}")
     out: list[list[int]] = [[] for _ in range(h.n)]
-    for circuit in euler_circuits([h.neighbors(v) for v in range(h.n)]):
-        for a, b in zip(circuit, circuit[1:]):
-            out[a].append(b)
+    for a, b in balanced_orientation(h):
+        out[a].append(b)
     for v in range(h.n):
         out[v].sort()
     return Orientation(host=h, out=out)

@@ -124,6 +124,7 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         rows = sweep([Params(n=40, p0=0.8, eta=0.3, seed=0)], 2, str(out))
         assert rows[1][4:6] == ["error", "cell exploded"]
+        assert len(rows[1]) == len(CSV_HEADER)
         with open(out) as fh:
             assert next(csv.reader(fh)) == CSV_HEADER
         errors = (tmp_path / "sweep.csv.errors.txt").read_text()

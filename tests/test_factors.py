@@ -8,16 +8,15 @@ import pytest
 
 from hamdecomp import factors
 from hamdecomp.factors import (
-    _balanced_orientation,
-    _Dinic,
     _factor_via_flow,
     build_gadget,
     extract_r_factor,
     extract_with_retry,
+    max_flow,
     tutte_check_exhaustive,
     tutte_quantities,
 )
-from hamdecomp.graph import Graph
+from hamdecomp.graph import Graph, balanced_orientation
 from hamdecomp.matching import max_matching_general
 from hamdecomp.sampler import Params, sample_gnp, split
 
@@ -191,7 +190,26 @@ class TestExtraction:
         assert f.edges <= s.g1.edges
 
 
-def recursive_max_flow(net: _Dinic, s: int, t: int) -> int:
+class Network:
+    """Reference network builder: the residual arrays ``max_flow`` takes,
+    with each arc and its reverse added as a pair of ids i, i ^ 1."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        self.head: list[list[int]] = [[] for _ in range(n)]
+
+    def add(self, u: int, v: int, c: int) -> int:
+        idx = len(self.to)
+        self.to += (v, u)
+        self.cap += (c, 0)
+        self.head[u].append(idx)
+        self.head[v].append(idx + 1)
+        return idx
+
+
+def recursive_max_flow(net: Network, s: int, t: int) -> int:
     """Reference: Dinic's algorithm with the usual recursive blocking-flow
     DFS over the same arc lists and current-arc pointers."""
     flow = 0
@@ -231,10 +249,10 @@ def recursive_max_flow(net: _Dinic, s: int, t: int) -> int:
             flow += pushed
 
 
-def random_network(seed: int) -> _Dinic:
+def random_network(seed: int) -> Network:
     rnd = random.Random(seed)
     n = rnd.randint(2, 30)
-    net = _Dinic(n)
+    net = Network(n)
     for _ in range(rnd.randint(0, 4 * n)):
         u, v = rnd.randrange(n), rnd.randrange(n)
         if u != v:
@@ -256,34 +274,33 @@ class TestIterativeDinic:
         for seed in range(400):
             net, ref = random_network(seed), random_network(seed)
             t = net.n - 1
-            assert net.max_flow(0, t) == recursive_max_flow(ref, 0, t)
+            assert max_flow(net.head, net.to, net.cap, 0, t) == recursive_max_flow(ref, 0, t)
             assert net.cap == ref.cap
 
     def test_augmenting_path_longer_than_the_recursion_limit(self, monkeypatch):
         _no_recursion_limit_change(monkeypatch)
         m = 3 * sys.getrecursionlimit()
-        net, ref = _Dinic(m), _Dinic(m)
+        net, ref = Network(m), Network(m)
         for u in range(m - 1):
             net.add(u, u + 1, 2)
             ref.add(u, u + 1, 2)
         with pytest.raises(RecursionError):
             recursive_max_flow(ref, 0, m - 1)
-        assert net.max_flow(0, m - 1) == 2
+        assert max_flow(net.head, net.to, net.cap, 0, m - 1) == 2
 
 
-def reference_factor_via_flow(g: Graph, r: int, rotate: int) -> tuple[Graph | None, _Dinic]:
-    """Reference: the flow route on a plain ``_Dinic``, the network built arc
-    by arc with ``add`` and every phase, the first one too, run by
-    ``max_flow``."""
-    arcs = _balanced_orientation(g, rotate)
+def reference_factor_via_flow(g: Graph, r: int, rotate: int) -> tuple[Graph | None, Network]:
+    """Reference: the flow route on a plain ``Network``, built arc by arc
+    with ``add``, and every phase, the first one too, run by ``max_flow``."""
+    arcs = balanced_orientation(g, rotate)
     n, half = g.n, r // 2
     s, t = 2 * n, 2 * n + 1
-    net = _Dinic(2 * n + 2)
+    net = Network(2 * n + 2)
     for v in range(n):
         net.add(s, v, half)
         net.add(n + v, t, half)
     arc_ids = [net.add(u, n + v, 1) for u, v in arcs]
-    if net.max_flow(s, t) != n * half:
+    if max_flow(net.head, net.to, net.cap, s, t) != n * half:
         return None, net
     f = Graph(n)
     for (u, v), idx in zip(arcs, arc_ids):
@@ -294,14 +311,15 @@ def reference_factor_via_flow(g: Graph, r: int, rotate: int) -> tuple[Graph | No
 
 class TestFlowFirstPhase:
     def test_greedy_first_phase_matches_plain_dinic(self, monkeypatch):
-        built: list[_Dinic] = []
+        # the network each call hands to max_flow; cap holds its residual
+        # capacities once the call returns
+        built: list[tuple[list, list, list]] = []
 
-        class Recorded(_Dinic):
-            def __init__(self, n):
-                super().__init__(n)
-                built.append(self)
+        def spy(head, to, cap, s, t):
+            built.append((head, to, cap))
+            return max_flow(head, to, cap, s, t)
 
-        monkeypatch.setattr(factors, "_Dinic", Recorded)
+        monkeypatch.setattr(factors, "max_flow", spy)
         rnd = random.Random(5)
         outcomes = set()
         for seed in range(24):
@@ -314,9 +332,9 @@ class TestFlowFirstPhase:
                 for rotate in range(3):
                     f = _factor_via_flow(g, r, rotate)
                     want, ref = reference_factor_via_flow(g, r, rotate)
-                    net = built.pop()
-                    assert (net.to, net.head) == (ref.to, ref.head), (seed, r, rotate)
-                    assert net.cap == ref.cap, (seed, r, rotate)
+                    head, to, cap = built.pop()
+                    assert (to, head) == (ref.to, ref.head), (seed, r, rotate)
+                    assert cap == ref.cap, (seed, r, rotate)
                     outcomes.add(f is not None)
                     if want is None:
                         assert f is None

@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from hamdecomp import factors
+from hamdecomp import graph
 from hamdecomp.graph import (
     BrokenTwoFactor,
     Graph,
+    balanced_orientation,
     check_cycle_cover,
     cycle_cover_edges,
     euler_circuits,
@@ -269,7 +270,7 @@ class TestEulerCircuits:
             assert sum(len(c) - 1 for c in got) == len(edges)
 
     def test_matches_reference_on_balanced_orientation_input(self, monkeypatch):
-        # the adjacency _balanced_orientation builds: odd-degree vertices
+        # the adjacency balanced_orientation builds: odd-degree vertices
         # joined to a virtual vertex, each list rotated by ``rotate``
         seen = []
 
@@ -277,7 +278,7 @@ class TestEulerCircuits:
             seen.append([list(nbrs) for nbrs in adj])
             return euler_circuits(adj)
 
-        monkeypatch.setattr(factors, "euler_circuits", spy)
+        monkeypatch.setattr(graph, "euler_circuits", spy)
         rnd = random.Random(13)
         for _ in range(20):
             n = rnd.randint(10, 70)
@@ -285,6 +286,6 @@ class TestEulerCircuits:
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                           if rnd.random() < p])
             for rotate in range(3):
-                factors._balanced_orientation(g, rotate)
+                balanced_orientation(g, rotate)
                 adj = seen.pop()
                 assert list(euler_circuits(adj)) == list(reference_euler_circuits(adj))

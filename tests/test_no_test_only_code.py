@@ -4,6 +4,11 @@ Every top-level function and class in ``src/hamdecomp``, and every method
 of those classes, must be named somewhere in ``src/``, ``perfbench/`` or
 ``scripts/`` besides its own definition.  The exceptions are the reference
 oracles that tests compare the pipeline against.
+
+The scan matches bare words, so it misses a test-only method whose name is
+a common word (a method ``add`` is "named" by every ``set.add``) or is
+shared with another definition (two ``to_json_obj`` methods name each
+other).  Such helpers are left for review to catch.
 """
 import ast
 import re
@@ -56,7 +61,7 @@ def named_only_by_tests() -> list[str]:
 
 def test_scan_sees_the_package():
     names = {q for q, _ in definitions()}
-    assert {"rotation.convert_all", "graph.Graph.add_edge", "factors._Dinic.max_flow"} <= names
+    assert {"rotation.convert_all", "graph.Graph.add_edge", "factors.max_flow"} <= names
 
 
 def test_only_reference_oracles_are_test_only():
