@@ -105,6 +105,8 @@ def main(argv: list[str] | None = None) -> int:
                     for c in cells]
             if not grid:
                 raise ValueError("empty grid")
+            if args.seeds < 1:
+                raise ValueError("--seeds must be at least 1")
         except (ValueError, KeyError, OSError) as exc:
             print(f"parameter error: {exc}", file=sys.stderr)
             return EXIT_PARAM_ERROR
@@ -134,6 +136,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd == "diag":
         try:
             params = _params(args)
+            if args.trials < 1:
+                raise ValueError("--trials must be at least 1")
         except ValueError as exc:
             print(f"parameter error: {exc}", file=sys.stderr)
             return EXIT_PARAM_ERROR

@@ -224,21 +224,34 @@ def verify_result(result_path: str, graph_path: str) -> dict:
     Hamiltonicity, edge membership, and pairwise edge-disjointness without
     touching the pipeline's own audit paths.  The result's own claims must
     agree with what is re-read: ``achieved_cycles`` with the number of
-    cycles and ``params.n`` with the graph's vertex count.
+    cycles and ``params.n`` with the graph's vertex count.  Raises
+    ValueError when either file is malformed: a result that is not an
+    object with an object ``params`` and a list of vertex lists, or an edge
+    list whose header's edge count differs from the edges it lists.
     """
     with open(result_path) as fh:
         doc = json.load(fh)
     with open(graph_path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip() and not ln.startswith("#")]
+    if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
+        raise ValueError("the result and its params must be JSON objects")
+    cycles = doc.get("hamilton_cycles", [])
+    if not (isinstance(cycles, list)
+            and all(isinstance(c, list) and all(isinstance(v, int) for v in c)
+                    for c in cycles)):
+        raise ValueError("hamilton_cycles must be a list of lists of vertices")
+    if not lines:
+        raise ValueError("the graph file has no header")
     n, m = map(int, lines[0].split())
     edge_set: set[tuple[int, int]] = set()
     for ln in lines[1 : m + 1]:
         u, v = map(int, ln.split())
         edge_set.add((min(u, v), max(u, v)))
+    if len(edge_set) != m:
+        raise ValueError(f"header claims {m} edges, parsed {len(edge_set)}")
     claimed_n = doc.get("params", {}).get("n")
     if claimed_n != n:
         return {"ok": False, "reason": f"params.n is {claimed_n} but the graph has {n} vertices"}
-    cycles = doc.get("hamilton_cycles", [])
     used: set[tuple[int, int]] = set()
     for idx, cyc in enumerate(cycles):
         if len(cyc) != n:

@@ -274,65 +274,58 @@ def _grow_side(
     offpath: set[int],
     max_states: int,
     max_levels: int,
-) -> tuple[Outcome | None, Outcome | None, list[_State]]:
+) -> tuple[Outcome | None, list[_State]]:
     """BFS over rotations of the tail with the head fixed.
 
-    Returns (extend_outcome, close_outcome, states); the first Extend aborts
-    the search, the first Close is remembered.  States stay implicit (see
-    ``_RotatedPath``).
+    Returns (outcome, states): the first Extend, else the first Close, else
+    None.  An Extend ends the search, and so does a Close when no vertex is
+    off the path, since nothing can then beat it.  States are created in
+    order of depth, so ``states`` is also the BFS queue; they stay implicit
+    (see ``_RotatedPath``).
     """
     head = rooted.path[0]
     closable = rooted.last >= 2
     root: _State = ((), [], rooted.path[-1], frozenset())
     visited = {root[2]}
-    frontier = [root]
     states = [root]
+    close = None
 
-    def extend(state: _State) -> Outcome | None:
+    def stop(state: _State) -> Outcome | None:
+        """The outcome that ends the search at ``state``; its first Close is
+        kept in ``close``."""
+        nonlocal close
         _, rots, tail, _ = state
         if offpath:
             entry = next((u for u in gamma.adj(tail) if u in offpath), None)
             if entry is not None:
                 return Outcome(kind="extend", rotations=rots, added=norm_edge(tail, entry))
+        if close is None and closable and gamma.has(tail, head):
+            close = Outcome(kind="close", rotations=rots, added=norm_edge(tail, head))
+            if not offpath:
+                return close
         return None
 
-    def close(state: _State) -> Outcome | None:
-        _, rots, tail, _ = state
-        if closable and gamma.has(tail, head):
-            return Outcome(kind="close", rotations=rots, added=norm_edge(tail, head))
-        return None
-
-    ext = extend(root)
-    if ext:
-        return ext, None, states
-    close_found = close(root)
-
-    level = 0
-    while frontier and level < max_levels and len(states) < max_states:
-        level += 1
-        nxt: list[_State] = []
-        for cuts, rots, tail, touched in frontier:
-            for pivot, i, new_tail in rooted.moves(cuts, touched, tail, gamma, visited):
-                visited.add(new_tail)
-                state = (
-                    cuts + (i,),
-                    rots + [(pivot, norm_edge(pivot, new_tail), norm_edge(pivot, tail))],
-                    new_tail,
-                    touched | {pivot, new_tail, tail},
-                )
-                ext = extend(state)
-                if ext:
-                    return ext, close_found, states
-                if close_found is None:
-                    close_found = close(state)
-                nxt.append(state)
-                states.append(state)
-                if len(states) >= max_states:
-                    break
+    found = stop(root)
+    if found:
+        return found, states
+    for cuts, rots, tail, touched in states:
+        if len(cuts) >= max_levels or len(states) >= max_states:
+            break
+        for pivot, i, new_tail in rooted.moves(cuts, touched, tail, gamma, visited):
+            visited.add(new_tail)
+            state = (
+                cuts + (i,),
+                rots + [(pivot, norm_edge(pivot, new_tail), norm_edge(pivot, tail))],
+                new_tail,
+                touched | {pivot, new_tail, tail},
+            )
+            states.append(state)
+            found = stop(state)
+            if found:
+                return found, states
             if len(states) >= max_states:
                 break
-        frontier = nxt
-    return None, close_found, states
+    return close, states
 
 
 def posa_search(
@@ -343,42 +336,29 @@ def posa_search(
 ) -> Outcome:
     """Find an Extend or Close outcome by two-sided rotation BFS.
 
-    For a path with leftover cycles, Extend is preferred and Close (with a
-    later reopen) is the fallback; for a spanning path only Close applies.
-    Exhausted means both sides saturated with neither outcome.
+    The tail side is searched first, then the search re-anchors at reached
+    tails and rotates the other end of each reached path.  For a path with
+    leftover cycles, Extend is preferred and Close (with a later reopen) is
+    the fallback, and the only re-anchor is at the root: the search from
+    the head.  For a spanning path only Close applies, and up to
+    ``TWO_SIDED_CAP`` reached paths are re-anchored.  Exhausted means no
+    search found either outcome.
     """
     offpath = broken.offpath_vertices()
     spanning = not offpath
-
     side_a = _RotatedPath(broken.path)
-    ext, close, states_a = _grow_side(side_a, gamma, offpath, max_states, max_levels)
-    if ext:
-        return ext
-    if close and spanning:
-        return close
-    first_close = close
-
-    side_b = _RotatedPath(broken.path[::-1])
-    ext, close_b, _ = _grow_side(side_b, gamma, offpath, max_states, max_levels)
-    if ext:
-        return ext
-    if close_b and spanning:
-        return close_b
-    if first_close is None:
-        first_close = close_b
-
-    if spanning:
-        # two-sided: re-anchor at each reachable endpoint and rotate the
-        # opposite end of the realized path
-        for cuts, rots, _tail, _ in states_a[:TWO_SIDED_CAP]:
-            rooted = _RotatedPath(side_a.realize(cuts)[::-1])
-            _, close2, _ = _grow_side(rooted, gamma, offpath, max_states, max_levels)
-            if close2 is not None:
-                close2.rotations = rots + close2.rotations
-                return close2
-    if first_close is not None:
-        return first_close
-    return Outcome(kind="exhausted")
+    found, states = _grow_side(side_a, gamma, offpath, max_states, max_levels)
+    if found and (spanning or found.kind == "extend"):
+        return found
+    for cuts, rots, _, _ in states[: TWO_SIDED_CAP if spanning else 1]:
+        rooted = _RotatedPath(side_a.realize(cuts)[::-1])
+        other, _ = _grow_side(rooted, gamma, offpath, max_states, max_levels)
+        if other:
+            other.rotations = rots + other.rotations
+            if spanning or other.kind == "extend":
+                return other
+            found = found or other
+    return found or Outcome(kind="exhausted")
 
 
 # -- full conversion ----------------------------------------------------------

@@ -3,6 +3,8 @@ serialization formats, and exit codes."""
 import csv
 import json
 
+import pytest
+
 from hamdecomp import harness
 from hamdecomp.cli import EXIT_VERIFY_FAIL, main
 from hamdecomp.graph import Graph
@@ -247,6 +249,41 @@ class TestCliExitCodes:
         out.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", str(out), str(out) + ".graph.txt"]) == 1
+
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"params": [6], "achieved_cycles": 0, "hamilton_cycles": []},
+        {"params": {"n": 6}, "achieved_cycles": 1, "hamilton_cycles": [5]},
+        {"params": {"n": 6}, "achieved_cycles": 1, "hamilton_cycles": [[0, [1], 2]]},
+    ])
+    def test_verify_malformed_result(self, tmp_path, capsys, doc):
+        result, graph = tmp_path / "r.json", tmp_path / "g.txt"
+        result.write_text(json.dumps(doc))
+        graph.write_text(Graph.cycle(6).to_text())
+        assert main(["verify", str(result), str(graph)]) == 2
+        assert "parameter error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut,message", [(1, "header claims"), (7, "no header")])
+    def test_verify_truncated_graph(self, tmp_path, capsys, cut, message):
+        # the cycle C6 with its last `cut` lines gone, under a result that
+        # verifies against the whole file
+        result, graph = tmp_path / "r.json", tmp_path / "g.txt"
+        result.write_text(json.dumps({"params": {"n": 6}, "achieved_cycles": 1,
+                                      "hamilton_cycles": [[0, 1, 2, 3, 4, 5]]}))
+        lines = Graph.cycle(6).to_text().splitlines()
+        graph.write_text("".join(ln + "\n" for ln in lines[: len(lines) - cut]))
+        assert main(["verify", str(result), str(graph)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_diag_without_trials(self, capsys):
+        assert main(["diag", "--n", "30", "--p0", "0.3", "--eta", "0.25",
+                     "--trials", "0"]) == 2
+
+    def test_sweep_without_seeds(self, tmp_path):
+        out = tmp_path / "s.csv"
+        grid = json.dumps([{"n": 40, "p0": 0.8, "eta": 0.3, "seed": 0}])
+        assert main(["sweep", "--grid", grid, "--seeds", "0", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_sweep_cli(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -200,6 +200,57 @@ class TestPosaSearch:
         broken.validate(gamma.host)
 
 
+class TestSearchStopRule:
+    def test_spanning_root_close_builds_no_state(self):
+        host = Graph.complete(8)
+        path = list(range(8))
+        found, states = _grow_side(_RotatedPath(path), GammaView(host, path_edges(path)),
+                                   set(), max_states=2000, max_levels=64)
+        assert states == [((), [], 7, frozenset())]
+        assert (found.kind, found.rotations, found.added) == ("close", [], (0, 7))
+
+    def test_spanning_search_stops_at_its_first_close(self):
+        # without (0, 7) the root cannot close; its first rotation, pivot 1,
+        # moves the tail to 2, which closes, so pivots 2-5 are never tried
+        path = list(range(8))
+        host = Graph(8, [e for e in Graph.complete(8).edges if e != (0, 7)])
+        found, states = _grow_side(_RotatedPath(path), GammaView(host, path_edges(path)),
+                                   set(), max_states=2000, max_levels=64)
+        assert [tail for _, _, tail, _ in states] == [7, 2]
+        assert found.rotations == states[-1][1] == [(1, (1, 2), (1, 7))]
+        assert (found.kind, found.added) == ("close", (0, 2))
+
+
+# SHA-256 of posa_search's outcomes over random_broken instances, recorded
+# before the search stopped a spanning path at its first close and before
+# the head-side search became the re-anchor at the root
+SEARCH_LIMITS = [(2, 1), (3, 1), (5, 2), (20, 3), (2000, 64)]
+SEARCH_DIGEST = "449e33b7efd4eeae00f997e5f48ff1f467cdf8609b1116f9fa6d699a20a23565"
+
+
+def test_search_digest_pinned():
+    h = hashlib.sha256()
+    reanchored = exhausted = 0
+    for n in range(5, 31):
+        for q in (0.05, 0.1, 0.2, 0.35):
+            for seed in range(10):
+                for max_states, max_levels in SEARCH_LIMITS:
+                    broken, gamma = random_broken(n, seed, q)
+                    out = posa_search(broken, gamma, max_states=max_states,
+                                      max_levels=max_levels)
+                    doc = [out.kind, [[p, list(d), list(a)] for p, d, a in out.rotations],
+                           list(out.added) if out.added else None]
+                    h.update(json.dumps(doc, separators=(",", ":")).encode())
+                    exhausted += out.kind == "exhausted"
+                    if out.kind == "close" and not broken.offpath_vertices():
+                        found, _ = _grow_side(_RotatedPath(broken.path), gamma, set(),
+                                              max_states, max_levels)
+                        reanchored += found is None
+    assert h.hexdigest() == SEARCH_DIGEST
+    # the digest covers closes found only after re-anchoring
+    assert (reanchored, exhausted) == (235, 1758)
+
+
 def explicit_endpoint_sizes(path, gamma, max_levels=16):
     """Size of the set of reachable tails after each level of rotations,
     found with explicit path copies."""
@@ -233,10 +284,15 @@ class TestRotationReach:
                     broken, gamma = random_broken(n, seed, q)
                     if len(broken.path) < 3:
                         continue
-                    # with no off-path vertex nothing ends the search, and
-                    # a state's level is its number of cuts
-                    _, _, states = _grow_side(_RotatedPath(broken.path), gamma, set(),
-                                              max_states=10**9, max_levels=16)
+                    # the head is never a pivot, so taking its reservoir
+                    # edges leaves the reach as it is and lets no state
+                    # close; with no off-path vertex nothing then ends the
+                    # search, and a state's level is its number of cuts
+                    head = broken.path[0]
+                    gamma.take([norm_edge(head, u) for u in gamma.adj(head)])
+                    found, states = _grow_side(_RotatedPath(broken.path), gamma, set(),
+                                               max_states=10**9, max_levels=16)
+                    assert found is None
                     levels = [len(cuts) for cuts, _, _, _ in states]
                     sizes = []
                     for level in range(1, 17):
@@ -407,7 +463,7 @@ class TestPersistentReservoir:
 
 # SHA-256 of the Hamilton cycles and transcripts of convert_all at n=120,
 # p0=0.5, eta=0.05, recorded before the rotation search and the reservoir
-# became incremental; seeds 4 and 5 reach the second side of the search.
+# became incremental; seeds 4 and 5 reach the re-anchor at the root.
 CONVERSION_DIGESTS = {
     3: "6c3c876fcefe061ae3b2dab87848634e04acae58e48542d4f2055eae89e449ae",
     4: "9c5a479e3d440a0ad486ecac38fe0e1e6c262281d44a01f94320fa6dc03a50b3",
