@@ -227,7 +227,8 @@ def verify_result(result_path: str, graph_path: str) -> dict:
     cycles and ``params.n`` with the graph's vertex count.  Raises
     ValueError when either file is malformed: a result that is not an
     object with an object ``params`` and a list of vertex lists, or an edge
-    list whose header's edge count differs from the edges it lists.
+    list whose header's edge count differs from the edges it lists or that
+    names a self-loop or a vertex outside 0..n-1.
     """
     with open(result_path) as fh:
         doc = json.load(fh)
@@ -237,7 +238,7 @@ def verify_result(result_path: str, graph_path: str) -> dict:
         raise ValueError("the result and its params must be JSON objects")
     cycles = doc.get("hamilton_cycles", [])
     if not (isinstance(cycles, list)
-            and all(isinstance(c, list) and all(isinstance(v, int) for v in c)
+            and all(isinstance(c, list) and all(type(v) is int for v in c)
                     for c in cycles)):
         raise ValueError("hamilton_cycles must be a list of lists of vertices")
     if not lines:
@@ -246,6 +247,10 @@ def verify_result(result_path: str, graph_path: str) -> dict:
     edge_set: set[tuple[int, int]] = set()
     for ln in lines[1 : m + 1]:
         u, v = map(int, ln.split())
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex out of range: {(u, v)}")
         edge_set.add((min(u, v), max(u, v)))
     if len(edge_set) != m:
         raise ValueError(f"header claims {m} edges, parsed {len(edge_set)}")
@@ -261,6 +266,10 @@ def verify_result(result_path: str, graph_path: str) -> dict:
         if len(set(cyc)) != n:
             dup = next(v for v in cyc if cyc.count(v) > 1)
             return {"ok": False, "cycle": idx, "reason": f"repeated vertex {dup}"}
+        stray = sorted(set(cyc) - set(range(n)))
+        if stray:
+            return {"ok": False, "cycle": idx,
+                    "reason": f"vertices outside 0..{n - 1}: {stray[:5]}"}
         for i in range(n):
             u, v = cyc[i], cyc[(i + 1) % n]
             e = (min(u, v), max(u, v))
@@ -269,7 +278,8 @@ def verify_result(result_path: str, graph_path: str) -> dict:
             if e in used:
                 return {"ok": False, "cycle": idx, "reason": f"edge {e} reused"}
             used.add(e)
-    if doc.get("achieved_cycles") != len(cycles):
+    # JSON true would pass for 1
+    if type(doc.get("achieved_cycles")) is not int or doc["achieved_cycles"] != len(cycles):
         return {"ok": False, "reason": f"achieved_cycles is {doc.get('achieved_cycles')} "
                                        f"but {len(cycles)} cycles are listed"}
     return {"ok": True, "cycles": len(cycles)}

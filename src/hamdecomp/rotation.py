@@ -390,6 +390,10 @@ class ConversionResult:
     audit_failures: list[str]
 
 
+# the audit's snapshot of the persistent committed set: (plus, minus)
+_Snapshot = tuple[set[tuple[int, int]], set[tuple[int, int]]]
+
+
 def convert_all(
     factors: list[list[list[int]]],
     g0: Graph,
@@ -403,9 +407,7 @@ def convert_all(
     if mode not in ("report", "enforce"):
         raise ValueError(f"unknown mode {mode!r}")
     n = g0.n
-    factor_edges = [set() for _ in factors]
-    for i, f in enumerate(factors):
-        factor_edges[i] = cycle_cover_edges(f)
+    factor_edges = [frozenset(cycle_cover_edges(f)) for f in factors]
 
     finished_edges: set[tuple[int, int]] = set()
     hamilton: list[list[int]] = []
@@ -427,47 +429,72 @@ def convert_all(
     if mode == "enforce" and params.budgets_defined:
         enforce_levels = max(1, int(2 * params.e0 + 2 * params.e1))
 
+    # The audit recomputes the committed set as base ∪ F*.  Within one
+    # attempt only F* changes (the finished edges grow at its close, by F*),
+    # so base (the finished edges and the pending factors) is rebuilt from
+    # scratch once per attempt, together with whether it lies in G0 and the
+    # pending factors' total size.  A snapshot of the persistent committed
+    # set P is a pair (plus, minus) with P = (base − minus) ∪ plus and plus
+    # disjoint from base: (F* − base, ∅) while P agrees with base ∪ F*.
+    base: set[tuple[int, int]] = set()
+    base_in_g0 = True
+    pending_size = 0
+
+    def snapshot(current: set[tuple[int, int]]) -> tuple[bool, set[tuple[int, int]], _Snapshot]:
+        """(in_sync, current − base, snapshot of P): in_sync says whether P
+        equals base ∪ current, in one pass over base."""
+        committed = gamma.committed
+        fresh = current - base
+        if (len(committed) == len(base) + len(fresh)
+                and base <= committed and fresh <= committed):
+            return True, fresh, (fresh, set())
+        return False, fresh, (committed - base, base - committed)
+
     def audit_step(
         current: set[tuple[int, int]],
-        committed_before: set[tuple[int, int]],
+        current_size: int,
+        before: _Snapshot,
         consumed: list[tuple[int, int]],
         returned: list[tuple[int, int]],
-    ) -> set[tuple[int, int]]:
-        """Check the step against the committed set recomputed from scratch;
-        the reservoir is G0 minus that set, so no G0-sized set is built.
+    ) -> _Snapshot:
+        """Check the step against the committed set recomputed as base ∪
+        ``current``; the reservoir is G0 minus that set, so no G0-sized set
+        is built.  ``current_size`` is what F* adds to the parts' sizes
+        (nothing once a close has moved it into the finished edges).
         Returns the snapshot of the persistent committed set for the next
         step."""
-        recomputed = set(finished_edges)
-        recomputed |= current
-        for i in pending:
-            recomputed |= factor_edges[i]
-        in_sync = gamma.committed == recomputed
+        in_sync, fresh, after = snapshot(current)
         if not in_sync:
-            drift = sorted(e for e in gamma.committed ^ recomputed if e in g0.edges)
+            drift = sorted(e for e in gamma.committed ^ (base | current) if e in g0.edges)
             if drift:
                 audit_failures.append(
                     f"step {step}: persistent reservoir differs from recomputation on {drift}"
                 )
-        gained, consumed_set = recomputed - committed_before, set(consumed)
+        plus, minus = before
+        gained, consumed_set = minus | (fresh - plus), set(consumed)
         if gained != consumed_set:
             audit_failures.append(
                 f"step {step}: untraceable reservoir consumption {sorted(gained ^ consumed_set)}"
             )
-        freed, returned_set = committed_before - recomputed, set(returned)
+        freed, returned_set = plus - current, set(returned)
         if freed != returned_set:
             audit_failures.append(
                 f"step {step}: untraceable reservoir return {sorted(freed ^ returned_set)}"
             )
         # finished, current, the pending factors and G0 minus the committed
         # set partition G0
-        sizes = len(finished_edges) + len(current) + sum(len(factor_edges[i]) for i in pending)
-        if sizes != len(recomputed) or not recomputed <= g0.edges:
+        sizes = len(finished_edges) + current_size + pending_size
+        if sizes != len(base) + len(fresh) or not (base_in_g0 and fresh <= g0.edges):
             audit_failures.append(f"edge conservation broken at step {step}")
-        return recomputed if in_sync else set(gamma.committed)
+        return after
 
     def attempt(fi: int, pass_no: int) -> bool:
-        nonlocal step, total_rot
+        nonlocal step, total_rot, base, base_in_g0, pending_size
         pending.discard(fi)
+        if audit:
+            base = finished_edges.union(*(factor_edges[i] for i in pending))
+            base_in_g0 = base <= g0.edges
+            pending_size = sum(len(factor_edges[i]) for i in pending)
         broken, brec = break_to_path([list(c) for c in factors[fi]], n)
         transcript = [brec]
         if fi in transcripts:
@@ -476,7 +503,7 @@ def convert_all(
         fstar = broken.edges()
         gamma.take(factor_edges[fi])
         gamma.give([brec.deleted])
-        committed_before = set(gamma.committed) if audit else None
+        committed_before = snapshot(fstar)[2] if audit else None
         steps_here = rot_here = 0
 
         def run(records) -> None:
@@ -550,8 +577,8 @@ def convert_all(
                 finished_edges.update(fstar)
                 hamilton.append(cycle)
             if audit:
-                committed_before = audit_step(fstar if not done else set(), committed_before,
-                                              consumed_net, returned_net)
+                committed_before = audit_step(fstar, 0 if done else len(fstar),
+                                              committed_before, consumed_net, returned_net)
         per_factor.append(
             {"factor": fi, "outcome": status, "steps": steps_here,
              "rotations": rot_here, "pass": pass_no, **extra}

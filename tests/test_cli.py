@@ -189,6 +189,16 @@ class TestVerify:
         assert not verdict["ok"]
         assert "achieved_cycles" in verdict["reason"]
 
+    def test_detects_a_cycle_count_that_is_not_a_number(self, tmp_path):
+        out, graph_out = self._fixture(tmp_path)
+        doc = json.loads(out.read_text())
+        doc["hamilton_cycles"] = doc["hamilton_cycles"][:1]
+        doc["achieved_cycles"] = True
+        out.write_text(json.dumps(doc))
+        verdict = verify_result(str(out), str(graph_out))
+        assert not verdict["ok"]
+        assert "achieved_cycles" in verdict["reason"]
+
     def test_detects_vertex_count_mismatch(self, tmp_path):
         out, graph_out = self._fixture(tmp_path)
         doc = json.loads(out.read_text())
@@ -255,6 +265,8 @@ class TestCliExitCodes:
         {"params": [6], "achieved_cycles": 0, "hamilton_cycles": []},
         {"params": {"n": 6}, "achieved_cycles": 1, "hamilton_cycles": [5]},
         {"params": {"n": 6}, "achieved_cycles": 1, "hamilton_cycles": [[0, [1], 2]]},
+        # JSON true is no vertex, though Python reads it as 1
+        {"params": {"n": 6}, "achieved_cycles": 1, "hamilton_cycles": [[0, True, 2, 3, 4, 5]]},
     ])
     def test_verify_malformed_result(self, tmp_path, capsys, doc):
         result, graph = tmp_path / "r.json", tmp_path / "g.txt"
@@ -274,6 +286,30 @@ class TestCliExitCodes:
         graph.write_text("".join(ln + "\n" for ln in lines[: len(lines) - cut]))
         assert main(["verify", str(result), str(graph)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edges,cycle,message", [
+        # 9 is no vertex of a 5-vertex graph, and 4 is never visited
+        ([(0, 1), (1, 2), (2, 3), (3, 9), (0, 9)], [0, 1, 2, 3, 9], "out of range"),
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 1)], [0, 1, 2, 3, 4], "self-loop"),
+    ])
+    def test_verify_rejects_an_edge_line_off_the_vertex_set(
+            self, tmp_path, capsys, edges, cycle, message):
+        result, graph = tmp_path / "r.json", tmp_path / "g.txt"
+        result.write_text(json.dumps({"params": {"n": 5}, "achieved_cycles": 1,
+                                      "hamilton_cycles": [cycle]}))
+        graph.write_text(f"5 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        assert main(["verify", str(result), str(graph)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cycle", [[0, 1, 2, 3, 9], [0, 1, 2, 3, -1]])
+    def test_verify_rejects_a_cycle_off_the_vertex_set(self, tmp_path, cycle):
+        result, graph = tmp_path / "r.json", tmp_path / "g.txt"
+        result.write_text(json.dumps({"params": {"n": 5}, "achieved_cycles": 1,
+                                      "hamilton_cycles": [cycle]}))
+        graph.write_text(Graph.cycle(5).to_text())
+        verdict = verify_result(str(result), str(graph))
+        assert not verdict["ok"]
+        assert verdict["reason"] == f"vertices outside 0..4: {[cycle[-1]]}"
 
     def test_diag_without_trials(self, capsys):
         assert main(["diag", "--n", "30", "--p0", "0.3", "--eta", "0.25",

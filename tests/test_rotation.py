@@ -542,6 +542,23 @@ def test_deadend_after_rotations_pinned():
         assert digest == DEADEND_DIGEST
 
 
+@pytest.mark.parametrize("cover,missing,steps", [
+    # an edge of factor 0 that its first step keeps in F*
+    (0, (0, 11), [1]),
+    # an edge of factor 1: pending while factor 0 runs, in F* at step 3
+    (1, (2, 10), [1, 3]),
+])
+def test_audit_flags_a_factor_edge_outside_g0(cover, missing, steps):
+    edges = set(DEADEND_EXTRA)
+    for c in DEADEND_COVERS:
+        edges |= cycle_cover_edges(c)
+    assert missing in cycle_cover_edges(DEADEND_COVERS[cover])
+    g0 = Graph(16, sorted(edges - {missing}))
+    params = Params(n=16, p0=0.3, eta=0.05, seed=0)
+    conv = convert_all(DEADEND_COVERS, g0, Graph(16), params, audit=True, max_levels=2)
+    assert conv.audit_failures == [f"edge conservation broken at step {s}" for s in steps]
+
+
 # The audit's verdicts with the persistent reservoir broken on purpose, at
 # n=60, p0=0.6, eta=0.3: for each run, the steps at which each of the three
 # original audit checks reported, recorded before the audit was rewritten to
@@ -576,18 +593,41 @@ AUDIT_VERDICTS = {
 
 def reservoir_fault(name):
     """GammaView methods that replace the real ones for fault ``name``."""
-    real_give = GammaView.give
+    real_give, real_take = GammaView.give, GammaView.take
     calls = itertools.count(1)
 
     def give_all_but_every_7th(self, edges):
         if next(calls) % 7:
             real_give(self, edges)
 
+    def take_all_but_every_5th(self, edges):
+        if next(calls) % 5:
+            real_take(self, edges)
+
+    def take_and_free_a_stray_every_9th(self, edges):
+        # every 9th take also releases the smallest other committed edge
+        edges = list(edges)
+        real_take(self, edges)
+        if next(calls) % 9 == 0:
+            real_give(self, [min(self.committed - set(edges))])
+
+    def give_a_stray_every_9th(self, edges):
+        # the smallest committed edge leaves in place of the given ones
+        real_give(self, edges if next(calls) % 9 else [min(self.committed)])
+
+    def take_a_stray_every_9th(self, edges):
+        # the smallest reservoir edge is committed in place of the taken ones
+        real_take(self, edges if next(calls) % 9 else [min(self.host.edges - self.committed)])
+
     return {
         "none": {},
         "give_off": {"give": lambda self, edges: None},
         "take_off": {"take": lambda self, edges: None},
         "give_drop7": {"give": give_all_but_every_7th},
+        "take_drop5": {"take": take_all_but_every_5th},
+        "take_frees9": {"take": take_and_free_a_stray_every_9th},
+        "give_swap9": {"give": give_a_stray_every_9th},
+        "take_swap9": {"take": take_a_stray_every_9th},
     }[name]
 
 
@@ -641,6 +681,76 @@ def test_audit_traces_returned_edges(monkeypatch):
     for msg in returns:
         edges = [tuple(e) for e in ast.literal_eval(msg[msg.index("["):])]
         assert edges and edges == sorted(edges)
+
+
+def pipeline_factors(n, seed, p0=0.6, eta=0.3):
+    """(params, split graphs, 2-factors) of one small pipeline run."""
+    params = Params(n=n, p0=p0, eta=eta, seed=seed)
+    s = split(sample_gnp(params.n, params.p0, params.seed), params)
+    f, r = extract_with_retry(s.g1, params.r1)
+    return params, s, peel_all(f, r).factors
+
+
+# SHA-256 of every audited conversion's full audit_failures, Hamilton cycles
+# and per-factor outcomes under each reservoir fault, at n=48, p0=0.6,
+# eta=0.3, seeds 0-2, with the default limits in report mode and with
+# max_states=2, max_levels=1 in enforce mode; recorded before the audit
+# stopped rebuilding the committed set at every step.
+AUDIT_DIGESTS = {
+    "none": "270c9946be5434e7be83c4ef3bb55f7312587dbe9dde92c698040e4988c0be66",
+    "give_off": "77950fb38d93736fc617bf2daba77119778e4ce12c4a2282903e89129129a3f2",
+    "take_off": "6b08e83470dd7ae60a0283424c253bf6629c4b5046bc1c3a3c42656081b467a4",
+    "give_drop7": "002b9b2d486bbbe9e82f82bb666fc5485f8608bfd5216c509cfceba39005bc32",
+    "take_drop5": "8b6394736f99847be0ffab58252e86b3d3ccd62d860820e5c5ab8831ce580d07",
+    "take_frees9": "83c770d412e91dd24043d026cb00b4ca75891572e4e90b806fb9b3cfdd5ece16",
+    "give_swap9": "56905d3bf5fe237b7d907752b08e1c9326f180ab7ca2bd11a71374284bfbf2c7",
+    "take_swap9": "2b53c55ee44336c8d7d1135809149da3339b40590b6cf3b7a7471e26c23b0fb6",
+}
+AUDIT_LIMITS = [("report", 2000, 64), ("enforce", 2, 1)]
+
+
+@pytest.mark.parametrize("fault", sorted(AUDIT_DIGESTS))
+def test_audit_messages_digest_pinned(fault, monkeypatch):
+    runs = []
+    for seed in range(3):
+        params, s, factors = pipeline_factors(48, seed)
+        for mode, max_states, max_levels in AUDIT_LIMITS:
+            for attr, method in reservoir_fault(fault).items():
+                monkeypatch.setattr(GammaView, attr, method)
+            conv = convert_all(factors, s.g0, s.g2, params, mode=mode, audit=True,
+                               max_states=max_states, max_levels=max_levels)
+            monkeypatch.undo()
+            runs.append({"audit_failures": conv.audit_failures,
+                         "cycles": conv.hamilton_cycles, "per_factor": conv.per_factor})
+    if fault == "none":
+        assert not any(run["audit_failures"] for run in runs)
+    else:
+        assert all(run["audit_failures"] for run in runs)
+    digest = hashlib.sha256(json.dumps(runs, separators=(",", ":")).encode()).hexdigest()
+    assert digest == AUDIT_DIGESTS[fault]
+
+
+@pytest.mark.parametrize("n,seed,limits", [
+    (60, 0, None), (90, 1, None), (120, 2, None),
+    # abandons five factors and retries two of them
+    (60, 9, ("enforce", 2, 1)),
+])
+def test_audit_only_observes(n, seed, limits):
+    params, s, factors = pipeline_factors(n, seed)
+    mode, max_states, max_levels = limits or ("report", 2000, 64)
+    plain, audited = (
+        convert_all(factors, s.g0, s.g2, params, mode=mode, audit=audit,
+                    max_states=max_states, max_levels=max_levels)
+        for audit in (False, True)
+    )
+    assert audited.audit_failures == []
+    if limits:
+        assert any(o["pass"] == 2 for o in plain.per_factor)
+    assert audited.hamilton_cycles == plain.hamilton_cycles
+    assert audited.per_factor == plain.per_factor
+    assert audited.ledger == plain.ledger
+    assert audited.transcripts == plain.transcripts
+    assert audited.earlier_transcripts == plain.earlier_transcripts
 
 
 class TestReplayValidation:
