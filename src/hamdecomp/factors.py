@@ -149,7 +149,7 @@ def build_gadget(g: Graph, r: int) -> GadgetGraph:
     edge_slot: dict[tuple[int, int], int] = {}  # (v, neighbor) -> node id
     core_range: list[tuple[int, int]] = []
     for v in range(g.n):
-        nbrs = g.neighbors(v)
+        nbrs = g.adj(v)
         for u in nbrs:
             edge_slot[(v, u)] = n_nodes
             n_nodes += 1
@@ -158,7 +158,7 @@ def build_gadget(g: Graph, r: int) -> GadgetGraph:
     adj: list[list[int]] = [[] for _ in range(n_nodes)]
     for v in range(g.n):
         lo, hi = core_range[v]
-        slots = [edge_slot[(v, u)] for u in g.neighbors(v)]
+        slots = [edge_slot[(v, u)] for u in g.adj(v)]
         for c in range(lo, hi):
             adj[c] = list(slots)
             for s in slots:

@@ -5,6 +5,7 @@ sets from different phases of the decomposition can be compared exactly.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -14,7 +15,8 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
 
 
 class Graph:
-    """Simple graph backed by an edge set plus per-vertex neighbor sets."""
+    """Simple graph backed by an edge set plus an ascending neighbour list
+    per vertex."""
 
     __slots__ = ("n", "_adj", "_edges")
 
@@ -22,7 +24,7 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        self._adj: list[set[int]] = [set() for _ in range(n)]
+        self._adj: list[list[int]] = [[] for _ in range(n)]
         self._edges: set[tuple[int, int]] = set()
         for u, v in edges:
             self.add_edge(u, v)
@@ -32,14 +34,17 @@ class Graph:
     @classmethod
     def from_pairs(cls, n: int, pairs: list[tuple[int, int]]) -> "Graph":
         """Graph whose edges are ``pairs``: distinct (u, v) with
-        0 <= u < v < n, which are not checked.  They are inserted in the
-        given order, so the graph is the one ``add_edge`` would build from
-        them, down to the iteration order of its sets."""
+        0 <= u < v < n, which are not checked.  It is the graph ``add_edge``
+        would build from them in the given order, down to the iteration
+        order of its edge set.  Each neighbour list is sorted once, in
+        linear time when the pairs come in ascending order."""
         g = cls(n)
         adj = g._adj
         for u, v in pairs:
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(v)
+            adj[v].append(u)
+        for nbrs in adj:
+            nbrs.sort()
         g._edges = set(pairs)
         return g
 
@@ -64,8 +69,8 @@ class Graph:
         if e in self._edges:
             return
         self._edges.add(e)
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        insort(self._adj[u], v)
+        insort(self._adj[v], u)
 
     # -- queries --------------------------------------------------------------
 
@@ -83,13 +88,13 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def adj(self, v: int) -> set[int]:
-        """Neighbor set; treat as read-only."""
+    def adj(self, v: int) -> list[int]:
+        """Neighbours in ascending order; treat as read-only."""
         return self._adj[v]
 
     def neighbors(self, v: int) -> list[int]:
-        """Neighbors in ascending order (deterministic iteration)."""
-        return sorted(self._adj[v])
+        """A copy of ``adj(v)`` the caller may change."""
+        return self._adj[v][:]
 
     def min_degree(self) -> int:
         return min((len(s) for s in self._adj), default=0)
@@ -113,10 +118,8 @@ class Graph:
             return 0
         if a.isdisjoint(b):
             small, big = (a, b) if len(a) <= len(b) else (b, a)
-            return sum(len(self._adj[u] & big) for u in small)
-        seen = {norm_edge(u, v) for u in a for v in self._adj[u] & b}
-        seen |= {norm_edge(u, v) for u in b for v in self._adj[u] & a}
-        return len(seen)
+            return sum(len(big.intersection(self._adj[u])) for u in small)
+        return len({norm_edge(u, v) for u in a for v in b.intersection(self._adj[u])})
 
     def components(self, restrict: Iterable[int] | None = None) -> list[set[int]]:
         """Connected components of the subgraph induced on restrict.
@@ -133,7 +136,7 @@ class Graph:
             unseen.discard(root)
             while stack:
                 u = stack.pop()
-                for w in self._adj[u] & unseen:
+                for w in unseen.intersection(self._adj[u]):
                     unseen.discard(w)
                     comp.add(w)
                     stack.append(w)

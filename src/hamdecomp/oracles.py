@@ -111,7 +111,7 @@ def count_2factors_brute(g: Graph) -> FactorCensus:
         if need == 0:
             rec(v + 1)
             return
-        avail = [u for u in g.neighbors(v) if u > v and len(chosen[u]) < 2]
+        avail = [u for u in g.adj(v) if u > v and len(chosen[u]) < 2]
         if len(avail) < need:
             return
         for pick in combinations(avail, need):

@@ -30,10 +30,12 @@ class TranscriptRecord:
 class GammaView:
     """Reservoir adjacency: host edges not in the committed set.
 
-    The view keeps its own copy of the committed set.  ``take`` and
-    ``give`` move edges into and out of it and drop the cached neighbour
-    lists of the endpoints of the edges that moved, so one view can follow
-    a whole conversion.
+    Each vertex's reservoir neighbours are its host neighbour list with the
+    committed edges left out, so they stay in ascending order.  The view
+    keeps its own copy of the committed set.  ``take`` and ``give`` move
+    edges into and out of it and drop the cached neighbour lists of the
+    endpoints of the edges that moved, so one view can follow a whole
+    conversion.
     """
 
     def __init__(self, host: Graph, committed: set[tuple[int, int]]):
@@ -45,9 +47,7 @@ class GammaView:
         """Reservoir neighbours of v in ascending order."""
         cached = self._adj[v]
         if cached is None:
-            cached = sorted(
-                u for u in self.host.adj(v) if norm_edge(u, v) not in self.committed
-            )
+            cached = [u for u in self.host.adj(v) if norm_edge(u, v) not in self.committed]
             self._adj[v] = cached
         return cached
 

@@ -1,10 +1,16 @@
-"""Graph core: edge counting, components, serialization, Euler circuits."""
+"""Graph core: edge counting, components, serialization, Euler circuits,
+sorted neighbour lists."""
+import hashlib
+import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hamdecomp import graph
+from hamdecomp import graph, harness
+from hamdecomp.factors import _factor_via_flow, build_gadget
 from hamdecomp.graph import (
     BrokenTwoFactor,
     Graph,
@@ -15,6 +21,8 @@ from hamdecomp.graph import (
     norm_edge,
     path_edges,
 )
+from hamdecomp.matching import is_perfect, max_matching_general
+from hamdecomp.sampler import Params, sample_gnp
 
 
 def random_graph_strategy(max_n=10):
@@ -289,3 +297,189 @@ class TestEulerCircuits:
                 balanced_orientation(g, rotate)
                 adj = seen.pop()
                 assert list(euler_circuits(adj)) == list(reference_euler_circuits(adj))
+
+
+# -- sorted neighbour lists ----------------------------------------------------
+
+
+def assert_sorted_adjacency(g):
+    """adj(v) is strictly ascending and lists exactly v's neighbours in
+    ``g.edges``."""
+    ref = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        assert 0 <= u < v < g.n
+        ref[u].append(v)
+        ref[v].append(u)
+    for v in range(g.n):
+        nbrs = g.adj(v)
+        assert all(a < b for a, b in zip(nbrs, nbrs[1:])), (v, nbrs)
+        assert nbrs == sorted(ref[v]), v
+        assert g.degree(v) == len(ref[v])
+
+
+def random_pairs(n, p, rnd):
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p]
+
+
+class TestSortedAdjacency:
+    def test_constructor(self):
+        rnd = random.Random(21)
+        for _ in range(40):
+            n = rnd.randint(1, 40)
+            pairs = random_pairs(n, rnd.uniform(0.05, 0.9), rnd)
+            # either orientation, in random order, some edges twice
+            edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in pairs]
+            edges += rnd.sample(edges, len(edges) // 3)
+            rnd.shuffle(edges)
+            g = Graph(n, edges)
+            assert g.edges == set(pairs)
+            assert_sorted_adjacency(g)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_from_pairs(self, shuffle):
+        rnd = random.Random(22)
+        for _ in range(40):
+            n = rnd.randint(1, 60)
+            pairs = random_pairs(n, rnd.uniform(0.05, 0.9), rnd)
+            if shuffle:
+                rnd.shuffle(pairs)
+            g = Graph.from_pairs(n, pairs)
+            assert g == Graph(n, pairs)
+            assert_sorted_adjacency(g)
+
+    def test_from_pairs_of_a_sample(self):
+        assert_sorted_adjacency(sample_gnp(300, 0.1, 4))
+
+    def test_add_edge_in_random_order(self):
+        rnd = random.Random(23)
+        for _ in range(40):
+            n = rnd.randint(2, 40)
+            g = Graph(n)
+            for _ in range(rnd.randint(0, 3 * n)):
+                u, v = rnd.sample(range(n), 2)
+                g.add_edge(u, v)
+                if rnd.random() < 0.3:
+                    g.add_edge(v, u)
+                assert_sorted_adjacency(g)
+
+    def test_from_text_complete_and_cycle(self):
+        rnd = random.Random(24)
+        pairs = random_pairs(30, 0.3, rnd)
+        rnd.shuffle(pairs)
+        text = "\n".join([f"30 {len(pairs)}"] + [f"{v} {u}" for u, v in pairs]) + "\n"
+        assert_sorted_adjacency(Graph.from_text(text))
+        assert_sorted_adjacency(Graph.complete(9))
+        assert_sorted_adjacency(Graph.cycle(9))
+
+    def test_gadget_matching_to_factor(self):
+        rnd = random.Random(25)
+        built = 0
+        for _ in range(30):
+            n = rnd.randrange(6, 30, 2)
+            g = Graph(n, random_pairs(n, rnd.uniform(0.3, 0.8), rnd))
+            r = min(3, g.min_degree())
+            if r < 1:
+                continue
+            gadget = build_gadget(g, r)
+            match = max_matching_general(gadget.adj)
+            if not is_perfect(match):
+                continue
+            f = gadget.matching_to_factor(match)
+            assert all(f.degree(v) == r for v in range(n))
+            assert_sorted_adjacency(f)
+            built += 1
+        assert built >= 10
+
+    def test_factor_via_flow(self):
+        rnd = random.Random(26)
+        built = 0
+        for _ in range(20):
+            n = rnd.randint(20, 80)
+            g = Graph.from_pairs(n, random_pairs(n, rnd.uniform(0.2, 0.7), rnd))
+            top = 2 * (g.min_degree() // 2)
+            for r in range(2, top + 1, 2):
+                f = _factor_via_flow(g, r, rnd.randrange(3))
+                if f is not None:
+                    assert f.edges <= g.edges
+                    assert_sorted_adjacency(f)
+                    built += 1
+        assert built >= 20
+
+    def test_neighbors_is_a_copy(self):
+        g = Graph(5, [(0, 3), (0, 1), (0, 4)])
+        nbrs = g.neighbors(0)
+        assert nbrs == g.adj(0) == [1, 3, 4]
+        nbrs.append(2)
+        nbrs.reverse()
+        assert g.adj(0) == [1, 3, 4]
+        assert_sorted_adjacency(g)
+
+    def test_components_match_set_reference(self):
+        rnd = random.Random(27)
+        for _ in range(60):
+            n = rnd.randint(1, 40)
+            g = Graph.from_pairs(n, random_pairs(n, rnd.uniform(0.0, 0.2), rnd))
+            for restrict in (None, {v for v in range(n) if rnd.random() < 0.6}):
+                got = g.components(restrict)
+                assert sorted(map(sorted, got)) == reference_components(g, restrict)
+
+    def test_edge_count_between_matches_set_reference(self):
+        rnd = random.Random(28)
+        for _ in range(60):
+            n = rnd.randint(1, 40)
+            g = Graph.from_pairs(n, random_pairs(n, rnd.uniform(0.05, 0.8), rnd))
+            for _ in range(5):
+                a = {v for v in range(n) if rnd.random() < 0.5}
+                # disjoint, overlapping and equal pairs of vertex sets
+                b = rnd.choice([set(range(n)) - a, {v for v in range(n) if rnd.random() < 0.5}, a])
+                want = sum((u in a and v in b) or (u in b and v in a) for u, v in g.edges)
+                assert g.edge_count_between(a, b) == want
+                assert g.edge_count_between(b, a) == want
+
+
+def reference_components(g, restrict):
+    """Reference: components by BFS over neighbour sets built from
+    ``g.edges``, each as a sorted list, in sorted order."""
+    allowed = set(range(g.n)) if restrict is None else set(restrict)
+    nbrs = {v: set() for v in allowed}
+    for u, v in g.edges:
+        if u in allowed and v in allowed:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    comps, seen = [], set()
+    for root in sorted(allowed):
+        if root in seen:
+            continue
+        comp, frontier = {root}, [root]
+        while frontier:
+            frontier = [w for u in frontier for w in nbrs[u] - comp]
+            comp.update(frontier)
+        seen |= comp
+        comps.append(sorted(comp))
+    return sorted(comps)
+
+
+def test_neighbour_lists_cost_under_40_bytes_per_edge():
+    # a neighbour set costs about 168 B per edge; two list entries 16 B
+    n = 2000
+    pairs = sorted(sample_gnp(n, 0.05, 0).edges)
+    assert 90_000 < len(pairs) < 110_000
+    tracemalloc.start()
+    try:
+        g = Graph.from_pairs(n, pairs)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outside_edge_set = traced - sys.getsizeof(g.edges)
+    assert outside_edge_set / len(pairs) < 40
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (0, "9a95833ca2101a4ec13ee5c772b50a173f7329e4709dbfe910fd9511e38afef6"),
+    (3, "7f0b77bb16ac13a666a42769d61463d4fd6b4ab9c7042e2084defefea5c6f000"),
+])
+def test_run_cycles_pinned_at_n1000(seed, digest):
+    # recorded on set-backed neighbour storage: the cycles do not depend
+    # on how Graph stores its neighbours
+    cycles = harness.run(Params(1000, 0.1, 0.25, seed)).hamilton_cycles
+    assert hashlib.sha256(json.dumps(cycles).encode()).hexdigest() == digest
