@@ -5,7 +5,7 @@ sets from different phases of the decomposition can be compared exactly.
 """
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -15,37 +15,36 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
 
 
 class Graph:
-    """Simple graph backed by an edge set plus an ascending neighbour list
-    per vertex."""
+    """Simple graph stored only as an ascending neighbour list per vertex;
+    edges, edge count and edge membership are derived from the lists."""
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
         self._adj: list[list[int]] = [[] for _ in range(n)]
-        self._edges: set[tuple[int, int]] = set()
         for u, v in edges:
             self.add_edge(u, v)
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_pairs(cls, n: int, pairs: list[tuple[int, int]]) -> "Graph":
+    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Graph whose edges are ``pairs``: distinct (u, v) with
-        0 <= u < v < n, which are not checked.  It is the graph ``add_edge``
-        would build from them in the given order, down to the iteration
-        order of its edge set.  Each neighbour list is sorted once, in
-        linear time when the pairs come in ascending order."""
+        0 <= u < v < n, which are not checked.  Each neighbour list is
+        sorted once, in linear time when the pairs come in ascending order.
+        Every entry naming vertex v is the one int object ``ids[v]``: the
+        lists then point into n ints, not one per entry, which saves memory
+        and keeps list scans and bisects in cache."""
         g = cls(n)
-        adj = g._adj
+        adj, ids = g._adj, list(range(n))
         for u, v in pairs:
-            adj[u].append(v)
-            adj[v].append(u)
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
         for nbrs in adj:
             nbrs.sort()
-        g._edges = set(pairs)
         return g
 
     @classmethod
@@ -65,25 +64,26 @@ class Graph:
             raise ValueError(f"self-loop at {u}")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex out of range: {(u, v)}")
-        e = norm_edge(u, v)
-        if e in self._edges:
-            return
-        self._edges.add(e)
-        insort(self._adj[u], v)
-        insort(self._adj[v], u)
+        if not self.has_edge(u, v):
+            insort(self._adj[u], v)
+            insort(self._adj[v], u)
 
     # -- queries --------------------------------------------------------------
 
     @property
     def edges(self) -> set[tuple[int, int]]:
-        return self._edges
+        """A new set of the (min, max) edge tuples, built from the neighbour
+        lists on each call; changing it leaves the graph unchanged."""
+        return {(u, v) for u, nbrs in enumerate(self._adj) for v in nbrs[bisect_right(nbrs, u):]}
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adj)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self._edges
+        nbrs = self._adj[u] if 0 <= u < self.n else ()
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -100,7 +100,7 @@ class Graph:
         return min((len(s) for s in self._adj), default=0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self._edges == other._edges
+        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -144,17 +144,22 @@ class Graph:
         return comps
 
     def verify_hamilton_cycle(self, cyc: Sequence[int]) -> bool:
-        if len(cyc) != self.n or self.n < 3:
+        n, adj = self.n, self._adj
+        if n < 3 or len(cyc) != n or set(cyc) != set(range(n)):
             return False
-        if len(set(cyc)) != self.n:
-            return False
-        return all(self.has_edge(cyc[i], cyc[(i + 1) % self.n]) for i in range(self.n))
+        u = cyc[-1]
+        for v in cyc:
+            nbrs, u = adj[u], v
+            i = bisect_left(nbrs, v)
+            if i == len(nbrs) or nbrs[i] != v:
+                return False
+        return True
 
     # -- serialization: "n m" header then one "u v" line per edge -------------
 
     def to_text(self) -> str:
         lines = [f"{self.n} {self.num_edges}"]
-        lines.extend(f"{u} {v}" for u, v in sorted(self._edges))
+        lines.extend(f"{u} {v}" for u, nbrs in enumerate(self._adj) for v in nbrs if v > u)
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -113,30 +113,17 @@ def is_perfect(match: list[int]) -> bool:
 
 
 def brute_max_matching_size(adj: list[list[int]]) -> int:
-    """Exhaustive maximum matching size; reference oracle for n <= 10."""
+    """Exhaustive maximum matching size; reference oracle for n <= 10.
+    Sizes are tried downward from n // 2, the most a matching can have: k
+    edges form a matching when their 2k endpoints are distinct."""
     n = len(adj)
     if n > 16:
         raise ValueError("brute matcher capped at 16 vertices")
     edges = sorted({(v, u) for v in range(n) for u in adj[v] if u > v})
-    best = 0
-    for k in range(len(edges), 0, -1):
-        if k <= best:
-            break
-        for sub in combinations(edges, k):
-            used: set[int] = set()
-            ok = True
-            for u, v in sub:
-                if u in used or v in used:
-                    ok = False
-                    break
-                used.add(u)
-                used.add(v)
-            if ok:
-                best = max(best, k)
-                break
-        if best:
-            break
-    return best
+    for k in range(min(len(edges), n // 2), 0, -1):
+        if any(len({x for e in sub for x in e}) == 2 * k for sub in combinations(edges, k)):
+            return k
+    return 0
 
 
 def hopcroft_karp(adj_x: list[list[int]], n_y: int) -> list[int]:

@@ -31,8 +31,9 @@ class GammaView:
     """Reservoir adjacency: host edges not in the committed set.
 
     Each vertex's reservoir neighbours are its host neighbour list with the
-    committed edges left out, so they stay in ascending order.  The view
-    keeps its own copy of the committed set.  ``take`` and ``give`` move
+    committed edges left out, so they stay in ascending order, and ``has``
+    looks an edge up in the host's lists; no host edge set is built.  The
+    view keeps its own copy of the committed set.  ``take`` and ``give`` move
     edges into and out of it and drop the cached neighbour lists of the
     endpoints of the edges that moved, so one view can follow a whole
     conversion.
@@ -52,8 +53,7 @@ class GammaView:
         return cached
 
     def has(self, u: int, v: int) -> bool:
-        e = norm_edge(u, v)
-        return e in self.host.edges and e not in self.committed
+        return self.host.has_edge(u, v) and norm_edge(u, v) not in self.committed
 
     def take(self, edges) -> None:
         """Commit edges: they leave the reservoir."""
@@ -419,6 +419,7 @@ def convert_all(
     pending: set[int] = set(range(len(factors)))
     # the one reservoir of the conversion; every pending factor is committed
     gamma = GammaView(g0, set().union(*factor_edges))
+    g0_edges = g0.edges if audit else set()  # only the audit reads it
     step = 0
     total_rot = 0
 
@@ -465,7 +466,7 @@ def convert_all(
         step."""
         in_sync, fresh, after = snapshot(current)
         if not in_sync:
-            drift = sorted(e for e in gamma.committed ^ (base | current) if e in g0.edges)
+            drift = sorted(e for e in gamma.committed ^ (base | current) if e in g0_edges)
             if drift:
                 audit_failures.append(
                     f"step {step}: persistent reservoir differs from recomputation on {drift}"
@@ -484,7 +485,7 @@ def convert_all(
         # finished, current, the pending factors and G0 minus the committed
         # set partition G0
         sizes = len(finished_edges) + current_size + pending_size
-        if sizes != len(base) + len(fresh) or not (base_in_g0 and fresh <= g0.edges):
+        if sizes != len(base) + len(fresh) or not (base_in_g0 and fresh <= g0_edges):
             audit_failures.append(f"edge conservation broken at step {step}")
         return after
 
@@ -493,7 +494,7 @@ def convert_all(
         pending.discard(fi)
         if audit:
             base = finished_edges.union(*(factor_edges[i] for i in pending))
-            base_in_g0 = base <= g0.edges
+            base_in_g0 = base <= g0_edges
             pending_size = sum(len(factor_edges[i]) for i in pending)
         broken, brec = break_to_path([list(c) for c in factors[fi]], n)
         transcript = [brec]

@@ -8,10 +8,9 @@ sample, 1 for the split.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -157,17 +156,14 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
 def split(g0: Graph, params: Params) -> SplitSample:
     """Partition g0's edges: each goes to g1 with probability 1 - eta/4."""
     keep = 1.0 - params.eta / 4.0
-    # g0's own edge tuples in ascending order, the order sample_gnp drew
-    # them in: bucketed by row and each row sorted, cheaper than one sort
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(g0.n)]
-    for e in g0.edges:
-        rows[e[0]].append(e)
-    for row in rows:
-        row.sort(key=itemgetter(1))
+    draws = _uniforms(_rng(params.seed, STREAM_SPLIT))
     to_g1: list[tuple[int, int]] = []
     to_g2: list[tuple[int, int]] = []
-    for e, x in zip(chain.from_iterable(rows), _uniforms(_rng(params.seed, STREAM_SPLIT))):
-        (to_g1 if x < keep else to_g2).append(e)
+    # g0's edges (u, v), v > u, ascending: the order sample_gnp drew them in
+    for u in range(g0.n):
+        nbrs = g0.adj(u)
+        for v, x in zip(nbrs[bisect_right(nbrs, u):], draws):
+            (to_g1 if x < keep else to_g2).append((u, v))
     return SplitSample(g0=g0, g1=Graph.from_pairs(g0.n, to_g1),
                        g2=Graph.from_pairs(g0.n, to_g2), params=params)
 

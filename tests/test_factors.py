@@ -339,8 +339,9 @@ class TestFlowFirstPhase:
                     if want is None:
                         assert f is None
                         continue
-                    # the same graph, down to the iteration order of its
-                    # edge set, with equal neighbour lists
+                    # the same graph with equal neighbour lists, and so the
+                    # same edge order for what reads the lists (split,
+                    # to_text) and the same edges set, built from them
                     assert list(f.edges) == list(want.edges)
                     assert [f.adj(v) for v in range(n)] == [want.adj(v) for v in range(n)]
         assert outcomes == {True, False}

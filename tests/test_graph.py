@@ -3,8 +3,8 @@ sorted neighbour lists."""
 import hashlib
 import json
 import random
-import sys
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -460,7 +460,10 @@ def reference_components(g, restrict):
 
 
 def test_neighbour_lists_cost_under_40_bytes_per_edge():
-    # a neighbour set costs about 168 B per edge; two list entries 16 B
+    # everything from_pairs allocates is traced: two 8 B list entries per
+    # edge plus the lists' slack, about 19 B.  A neighbour set per vertex
+    # costs about 168 B per edge, and a stored edge set's table alone
+    # 34-42 B, so a Graph keeping either fails here.
     n = 2000
     pairs = sorted(sample_gnp(n, 0.05, 0).edges)
     assert 90_000 < len(pairs) < 110_000
@@ -470,8 +473,131 @@ def test_neighbour_lists_cost_under_40_bytes_per_edge():
         traced, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    outside_edge_set = traced - sys.getsizeof(g.edges)
-    assert outside_edge_set / len(pairs) < 40
+    assert g.num_edges == len(pairs)
+    assert traced / len(pairs) < 40
+
+
+def test_from_pairs_lists_name_each_vertex_by_one_int():
+    # a sample draws a new int per edge; the lists keep n of them alive
+    g = sample_gnp(600, 0.1, 0)
+    assert len({id(u) for v in range(g.n) for u in g.adj(v)}) <= g.n
+
+
+# -- the neighbour lists are the only representation ---------------------------
+
+
+def ref_text(n, ref):
+    return "\n".join([f"{n} {len(ref)}"] + [f"{u} {v}" for u, v in sorted(ref)]) + "\n"
+
+
+def ref_is_hamilton_cycle(n, ref, cyc):
+    """Set-based reference: cyc visits each of 0..n-1 once, n >= 3, and
+    each consecutive pair, closing pair included, is in ``ref``."""
+    if n < 3 or len(cyc) != n or len(set(cyc)) != n:
+        return False
+    return all(norm_edge(cyc[i], cyc[(i + 1) % n]) in ref for i in range(n))
+
+
+def built_graphs(rnd):
+    """(how, graph, reference edge set) for every way a Graph is built."""
+    n = rnd.randint(0, 30)
+    ref = set(random_pairs(n, rnd.uniform(0.0, 0.7), rnd))
+    pairs = sorted(ref)
+    shuffled = rnd.sample(pairs, len(pairs))
+    both_ways = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in shuffled]
+    both_ways += rnd.sample(both_ways, len(both_ways) // 3)
+    rnd.shuffle(both_ways)
+    added = Graph(n)
+    for u, v in both_ways:
+        added.add_edge(u, v)
+    text = "\n".join([f"{n} {len(shuffled)}"] + [f"{v} {u}" for u, v in shuffled]) + "\n"
+    yield "constructor", Graph(n, both_ways), ref
+    yield "from_pairs ascending", Graph.from_pairs(n, pairs), ref
+    yield "from_pairs shuffled", Graph.from_pairs(n, shuffled), ref
+    yield "add_edge", added, ref
+    yield "from_text", Graph.from_text(text), ref
+    k = rnd.randint(0, 9)
+    yield "complete", Graph.complete(k), {(u, v) for u in range(k) for v in range(u + 1, k)}
+    k = rnd.randint(3, 12)
+    yield "cycle", Graph.cycle(k), {norm_edge(i, (i + 1) % k) for i in range(k)}
+
+
+def test_every_construction_matches_a_set_reference():
+    rnd = random.Random(29)
+    for _ in range(40):
+        graphs = list(built_graphs(rnd))
+        for how, g, ref in graphs:
+            n = g.n
+            assert g.edges == ref, how
+            assert g.num_edges == len(ref), how
+            assert g.to_text() == ref_text(n, ref), how
+            for u in range(-1, n + 1):
+                for v in range(-1, n + 1):
+                    assert g.has_edge(u, v) == (norm_edge(u, v) in ref), (how, u, v)
+            # the set edges returns is the caller's
+            es = g.edges
+            es.add((n, n + 1))
+            es.discard(next(iter(ref), None))
+            assert g.edges == ref and g.num_edges == len(ref), how
+            for _, h, ref_h in graphs:
+                assert (g == h) == (n == h.n and ref == ref_h), how
+
+
+def hamilton_cases(rnd, n, ref):
+    """Cycles to check on a graph with edge set ``ref``: Hamilton cycles of
+    the graph, one with a single non-edge, a repeated vertex, wrong lengths
+    and vertices outside 0..n-1.  Adds to ``ref`` the edges these cycles
+    need, so build the graph after taking every case."""
+    cyc = list(range(n))
+    rnd.shuffle(cyc)
+    ref.update(norm_edge(cyc[i], cyc[(i + 1) % n]) for i in range(n) if n >= 2)
+    yield cyc
+    yield cyc[::-1]
+    yield cyc[n // 2:] + cyc[:n // 2]
+    if n >= 1:
+        yield cyc[:-1]
+        yield cyc + cyc[:1]
+        yield cyc[:-1] + [n]
+        yield cyc[:-1] + [-1]
+    if n >= 2:
+        yield cyc[:-1] + cyc[:1]  # a repeated vertex
+    missing = [e for e in combinations(range(n), 2) if e not in ref]
+    if n >= 3 and missing:
+        # a cycle whose only non-edge is (a, b)
+        a, b = rnd.choice(missing)
+        rest = [v for v in cyc if v not in (a, b)]
+        ref.update(norm_edge(x, y) for x, y in zip([b] + rest, rest + [a]))
+        yield [a, b] + rest
+
+
+def test_verify_hamilton_cycle_matches_a_set_reference():
+    rnd = random.Random(30)
+    verdicts = set()
+    for _ in range(150):
+        n = rnd.randint(0, 12)
+        ref = set(random_pairs(n, rnd.uniform(0.0, 0.6), rnd))
+        cases = list(hamilton_cases(rnd, n, ref))
+        g = Graph(n, ref)
+        for cyc in cases:
+            want = ref_is_hamilton_cycle(n, ref, cyc)
+            assert g.verify_hamilton_cycle(cyc) == want, (n, sorted(ref), cyc)
+            verdicts.add((n >= 3, want))
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def test_g2_consumed_is_the_set_intersection_count():
+    consumed = []
+    for seed in range(4):
+        params = Params(120, 0.4, 0.25, seed)
+        res = harness.run(params)
+        g0 = sample_gnp(params.n, params.p0, params.seed)
+        s = harness.split(g0, params)
+        # G2 as a set: the edges of G0 the split did not keep in G1
+        g2_ref = {e for e in g0.edges if not s.g1.has_edge(*e)}
+        finished = cycle_cover_edges(res.conversion.hamilton_cycles)
+        assert res.conversion.g2_consumed == len(g2_ref & finished), seed
+        consumed.append(res.conversion.g2_consumed)
+    assert max(consumed) > 0
 
 
 @pytest.mark.parametrize("seed,digest", [

@@ -2,6 +2,7 @@
 import random
 import sys
 from collections import deque
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,53 @@ class TestGeneralMatching:
         match = max_matching_general(adj)
         _check_valid(adj, match)
         assert matching_size(match) == brute_max_matching_size(adj)
+
+
+def enumerate_from_all_edges(adj):
+    """The exhaustive oracle as it was first written: subset sizes from
+    the number of edges down."""
+    n = len(adj)
+    edges = sorted({(v, u) for v in range(n) for u in adj[v] if u > v})
+    best = 0
+    for k in range(len(edges), 0, -1):
+        if k <= best:
+            break
+        for sub in combinations(edges, k):
+            used: set[int] = set()
+            ok = True
+            for u, v in sub:
+                if u in used or v in used:
+                    ok = False
+                    break
+                used.add(u)
+                used.add(v)
+            if ok:
+                best = max(best, k)
+                break
+        if best:
+            break
+    return best
+
+
+def test_brute_matcher_agrees_with_the_full_enumeration():
+    # up to 14 edges, so the full enumeration visits at most 2^14 subsets
+    rnd = random.Random(31)
+    sizes = set()
+    checked = 0
+    while checked < 150:
+        n = rnd.randint(1, 9)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rnd.random() < rnd.choice([0.1, 0.25, 0.4])])
+        if g.num_edges > 14:
+            continue
+        adj = _adj(g)
+        want = enumerate_from_all_edges(adj)
+        assert brute_max_matching_size(adj) == want, (n, sorted(g.edges))
+        sizes.add((want, want < n // 2))
+        checked += 1
+    # maximum matchings of every size, some smaller than n // 2
+    assert {k for k, _ in sizes} == {0, 1, 2, 3, 4}
+    assert (2, True) in sizes
 
 
 class TestGreedy:

@@ -231,8 +231,9 @@ def scalar_split(g0, params):
 
 
 def same_graph(a, b):
-    """Equal edge sets that iterate in the same order, and equal neighbour
-    lists."""
+    """Equal graphs with equal neighbour lists, and so the same edge order
+    for what reads the lists (``split``, ``to_text``) and the same ``edges``
+    set, built from them in the same order."""
     return (a == b and list(a.edges) == list(b.edges)
             and all(a.adj(v) == b.adj(v) for v in range(a.n)))
 
