@@ -133,11 +133,9 @@ class GadgetGraph:
     core_range: list[tuple[int, int]]  # core-slot node ids of v: range(*core_range[v])
 
     def matching_to_factor(self, match: list[int]) -> Graph:
-        f = Graph(self.host.n)
-        for (u, v), (su, sv) in self.slot_of.items():
-            if match[su] == sv:
-                f.add_edge(u, v)
-        return f
+        return Graph.from_pairs(self.host.n, [
+            e for e, (su, sv) in self.slot_of.items() if match[su] == sv
+        ])
 
 
 def build_gadget(g: Graph, r: int) -> GadgetGraph:
@@ -173,33 +171,25 @@ def build_gadget(g: Graph, r: int) -> GadgetGraph:
                        core_range=core_range)
 
 
-def _seed_matching_from_subgraph(gadget: GadgetGraph, sub: Graph) -> list[int]:
-    """Initial gadget matching induced by a subgraph with degrees <= r."""
-    g = gadget.host
+def _seed_matching(gadget: GadgetGraph) -> list[int]:
+    """Initial gadget matching: host edges taken greedily in ascending order
+    while both endpoints have degree below r, then each vertex's leftover
+    edge slots paired with its core slots."""
+    r, deg = gadget.r, [0] * gadget.host.n
     match = [-1] * gadget.n_nodes
-    for (u, v), (su, sv) in gadget.slot_of.items():
-        if sub.has_edge(u, v):
+    for (u, v), (su, sv) in gadget.slot_of.items():  # ascending host edges
+        if deg[u] < r and deg[v] < r:
+            deg[u] += 1
+            deg[v] += 1
             match[su] = sv
             match[sv] = su
-    # pair leftover edge slots with core slots vertex-locally; v's edge
-    # slots sit just before its core slots
+    # v's edge slots sit just before its core slots
     for v, (lo, hi) in enumerate(gadget.core_range):
-        free_slots = [s for s in range(lo - g.degree(v), lo) if match[s] == -1]
+        free_slots = [s for s in range(lo - gadget.host.degree(v), lo) if match[s] == -1]
         for c, s in zip(range(lo, hi), free_slots):
             match[c] = s
             match[s] = c
     return match
-
-
-def _greedy_degree_bounded_subgraph(g: Graph, r: int) -> Graph:
-    sub = Graph(g.n)
-    deg = [0] * g.n
-    for u, v in sorted(g.edges):
-        if deg[u] < r and deg[v] < r:
-            sub.add_edge(u, v)
-            deg[u] += 1
-            deg[v] += 1
-    return sub
 
 
 # -- Dinic max-flow fast path over a balanced orientation ---------------------
@@ -332,8 +322,7 @@ def extract_r_factor(g1: Graph, r: int) -> Graph | None:
                 _assert_regular(f, r)
                 return f
     gadget = build_gadget(g1, r)
-    seed = _seed_matching_from_subgraph(gadget, _greedy_degree_bounded_subgraph(g1, r))
-    match = max_matching_general(gadget.adj, init=seed)
+    match = max_matching_general(gadget.adj, init=_seed_matching(gadget))
     if not is_perfect(match):
         return None
     f = gadget.matching_to_factor(match)

@@ -92,10 +92,6 @@ class Graph:
         """Neighbours in ascending order; treat as read-only."""
         return self._adj[v]
 
-    def neighbors(self, v: int) -> list[int]:
-        """A copy of ``adj(v)`` the caller may change."""
-        return self._adj[v][:]
-
     def min_degree(self) -> int:
         return min((len(s) for s in self._adj), default=0)
 
@@ -218,12 +214,14 @@ def balanced_orientation(g: Graph, rotate: int = 0) -> list[tuple[int, int]]:
     the adjacency scan order so retries explore different orientations.
     """
     n = g.n
-    adj: list[list[int]] = [g.neighbors(v) for v in range(n)]
+    # g's own lists, read only: an odd vertex gets a new list, and
+    # rotation rebinds each entry to a new list
+    adj: list[list[int]] = [g.adj(v) for v in range(n)]
     odd = [v for v in range(n) if len(adj[v]) % 2 == 1]
     virtual = n
     for v in odd:
-        adj[v].append(virtual)
-    adj.append(list(odd))
+        adj[v] = adj[v] + [virtual]
+    adj.append(odd)
     if rotate:
         for v in range(len(adj)):
             k = rotate % max(1, len(adj[v]))
@@ -248,27 +246,6 @@ def cycle_cover_edges(cycles: Iterable[Sequence[int]]) -> set[tuple[int, int]]:
     return out
 
 
-def path_edges(path: Sequence[int]) -> set[tuple[int, int]]:
-    return {norm_edge(path[i], path[i + 1]) for i in range(len(path) - 1)}
-
-
-def check_cycle_cover(g: Graph, cycles: Iterable[Sequence[int]], spanning: bool = True) -> None:
-    """Raise ValueError unless cycles are vertex-disjoint cycles of g."""
-    seen: set[int] = set()
-    for cyc in cycles:
-        if len(cyc) < 3:
-            raise ValueError(f"cycle of length {len(cyc)} < 3")
-        for i, u in enumerate(cyc):
-            if u in seen:
-                raise ValueError(f"vertex {u} repeated across cycles")
-            seen.add(u)
-            v = cyc[(i + 1) % len(cyc)]
-            if not g.has_edge(u, v):
-                raise ValueError(f"({u},{v}) not an edge of the host")
-    if spanning and seen != set(range(g.n)):
-        raise ValueError("cycle cover is not spanning")
-
-
 @dataclass
 class BrokenTwoFactor:
     """Vertex-disjoint cycles plus one long path, jointly spanning the host.
@@ -281,9 +258,6 @@ class BrokenTwoFactor:
     cycles: list[list[int]] = field(default_factory=list)
     path: list[int] = field(default_factory=list)
 
-    def edges(self) -> set[tuple[int, int]]:
-        return cycle_cover_edges(self.cycles) | path_edges(self.path)
-
     def offpath_vertices(self) -> set[int]:
         out: set[int] = set()
         for cyc in self.cycles:
@@ -295,23 +269,3 @@ class BrokenTwoFactor:
             if v in cyc:
                 return i
         return None
-
-    def validate(self, host: Graph | None = None) -> None:
-        if not self.path:
-            raise ValueError("long path must be nonempty")
-        seen = set(self.path)
-        if len(seen) != len(self.path):
-            raise ValueError("repeated vertex on long path")
-        for cyc in self.cycles:
-            if len(cyc) < 3:
-                raise ValueError("cycle shorter than 3")
-            for u in cyc:
-                if u in seen:
-                    raise ValueError(f"vertex {u} appears twice")
-                seen.add(u)
-        if seen != set(range(self.n)):
-            raise ValueError("structure does not span all vertices")
-        if host is not None:
-            for u, v in self.edges():
-                if not host.has_edge(u, v):
-                    raise ValueError(f"({u},{v}) missing from host")

@@ -259,6 +259,8 @@ def verify_result(result_path: str, graph_path: str) -> dict:
         return {"ok": False, "reason": f"params.n is {claimed_n} but the graph has {n} vertices"}
     used: set[tuple[int, int]] = set()
     for idx, cyc in enumerate(cycles):
+        if n < 3:
+            return {"ok": False, "cycle": idx, "reason": f"no Hamilton cycle on {n} < 3 vertices"}
         if len(cyc) != n:
             missing = sorted(set(range(n)) - set(cyc))
             return {"ok": False, "cycle": idx,

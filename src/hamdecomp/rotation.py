@@ -75,7 +75,8 @@ class GammaView:
 
 def break_to_path(cycles: list[list[int]], n: int) -> tuple[BrokenTwoFactor, TranscriptRecord]:
     """Remove the lexicographically smallest edge of the cycle holding the
-    smallest vertex; the opened cycle becomes the long path."""
+    smallest vertex; the opened cycle becomes the long path.  The result
+    holds copies, so ``cycles`` is left unchanged."""
     smallest = min(min(c) for c in cycles)
     ci = next(i for i, c in enumerate(cycles) if smallest in c)
     cyc = cycles[ci]
@@ -88,7 +89,7 @@ def break_to_path(cycles: list[list[int]], n: int) -> tuple[BrokenTwoFactor, Tra
     if path[0] > path[-1]:
         path = path[::-1]
     rest = [list(c) for j, c in enumerate(cycles) if j != ci]
-    broken = BrokenTwoFactor(n=n, cycles=rest, path=list(path))
+    broken = BrokenTwoFactor(n=n, cycles=rest, path=path)
     return broken, TranscriptRecord(step=0, kind="break", deleted=removed)
 
 
@@ -496,12 +497,15 @@ def convert_all(
             base = finished_edges.union(*(factor_edges[i] for i in pending))
             base_in_g0 = base <= g0_edges
             pending_size = sum(len(factor_edges[i]) for i in pending)
-        broken, brec = break_to_path([list(c) for c in factors[fi]], n)
+        broken, brec = break_to_path(factors[fi], n)
         transcript = [brec]
         if fi in transcripts:
             earlier_transcripts[fi, pass_no - 1] = transcripts[fi]
         transcripts[fi] = transcript
-        fstar = broken.edges()
+        # F* holds the factor's own tuples, as the committed and finished
+        # sets do, so set operations between them match on identity
+        fstar = set(factor_edges[fi])
+        fstar.discard(brec.deleted)
         gamma.take(factor_edges[fi])
         gamma.give([brec.deleted])
         committed_before = snapshot(fstar)[2] if audit else None
@@ -619,7 +623,7 @@ def replay(
     """Re-apply a transcript to its initial 2-factor; returns the final path
     (a Hamilton cycle's vertex order when the transcript ends with a spanning
     close)."""
-    broken, brec = break_to_path([list(c) for c in factor], n)
+    broken, brec = break_to_path(factor, n)
     if not transcript or transcript[0].kind != "break" or transcript[0].deleted != brec.deleted:
         raise ValueError("break edge mismatch")
     for rec in transcript[1:]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, balanced_orientation, check_cycle_cover, cycle_cover_edges
+from .graph import Graph, balanced_orientation
 from .matching import hopcroft_karp
 
 
@@ -24,17 +24,6 @@ class Orientation:
             for u in self.out[v]:
                 ind[u] += 1
         return ind
-
-    def validate(self) -> None:
-        ind = self.in_degrees()
-        n_arcs = 0
-        for v in range(self.host.n):
-            outd = len(self.out[v])
-            n_arcs += outd
-            if outd != ind[v] or 2 * outd != self.host.degree(v):
-                raise ValueError(f"vertex {v}: out={outd} in={ind[v]} deg={self.host.degree(v)}")
-        if n_arcs != self.host.num_edges:
-            raise ValueError("arc set does not biject with edge set")
 
 
 def euler_orient(h: Graph) -> Orientation:
@@ -79,15 +68,6 @@ class TwoFactorSet:
     def cycle_counts(self) -> list[int]:
         return [len(f) for f in self.factors]
 
-    def validate(self) -> None:
-        seen: set[tuple[int, int]] = set()
-        for f in self.factors:
-            check_cycle_cover(self.host, f, spanning=True)
-            es = cycle_cover_edges(f)
-            if es & seen:
-                raise ValueError("factors share an edge")
-            seen |= es
-
 
 def peel_all(h: Graph, r: int | None = None) -> TwoFactorSet:
     """Peel an r-regular graph into exactly r/2 edge-disjoint 2-factors."""
@@ -100,10 +80,10 @@ def peel_all(h: Graph, r: int | None = None) -> TwoFactorSet:
     if r != deg or r % 2 == 1:
         raise ValueError(f"need even regular degree, got r={r}, degree={deg}")
     o = euler_orient(h)
-    o.validate()
-    # the bipartite double: x -> y for each arc of the orientation; ind
-    # keeps its in-degrees up to date as each matching is removed
-    adj_x = [list(heads) for heads in o.out]
+    # the bipartite double (x -> y per arc) is peeled from the orientation's
+    # own new out-lists; ind tracks its in-degrees.  Round 0's check is the
+    # balance check: out = in = r/2 on an r-regular host
+    adj_x = o.out
     ind = o.in_degrees()
     tf = TwoFactorSet(host=h)
     expected = r // 2

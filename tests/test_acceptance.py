@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from hamdecomp.factors import extract_r_factor, extract_with_retry, tutte_check_exhaustive
-from hamdecomp.graph import BrokenTwoFactor, Graph, cycle_cover_edges, norm_edge, path_edges
+from hamdecomp.graph import BrokenTwoFactor, Graph, cycle_cover_edges, norm_edge
 from hamdecomp.harness import run, verify_result
 from hamdecomp.oracles import (
     count_2factors_brute,
@@ -33,6 +33,8 @@ from hamdecomp.rotation import (
 )
 from hamdecomp.sampler import Params, sample_gnp, split
 from hamdecomp.twofactor import euler_orient, peel_all
+
+from cover_checks import broken_edges, path_edges, validate_broken, validate_two_factors
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -132,7 +134,7 @@ class TestCriterion3DecompositionExactness:
                     union |= es
                 if union != h.edges:
                     raise AssertionError("union of factors misses edges")
-                tf.validate()
+                validate_two_factors(tf)
             except (AssertionError, ValueError) as exc:
                 failures.append(f"{name}: {exc}")
         report(
@@ -231,12 +233,12 @@ def _fresh_instance(rnd: random.Random, n: int = 16) -> _FuzzInstance:
         idx += k
     path = verts[idx:]
     broken = BrokenTwoFactor(n=n, cycles=cycles, path=path)
-    host = Graph(n, broken.edges())
+    host = Graph(n, broken_edges(broken))
     for u in range(n):
         for v in range(u + 1, n):
             if rnd.random() < 0.35:
                 host.add_edge(u, v)
-    broken.validate(host)
+    validate_broken(broken, host)
     return _FuzzInstance(host=host, broken=broken)
 
 
@@ -250,7 +252,7 @@ class TestCriterion5RotationEngine:
         kinds = {"rotate": 0, "absorb": 0, "close": 0}
         while mutations < self.TARGET:
             broken, host = inst.broken, inst.host
-            gamma = GammaView(host, broken.edges())
+            gamma = GammaView(host, broken_edges(broken))
             tail = broken.path[-1]
             head = broken.path[0]
             pos = {v: i for i, v in enumerate(broken.path)}
@@ -310,7 +312,7 @@ class TestCriterion5RotationEngine:
                 added, deleted = absorb_cycle(broken, z)
                 assert host.has_edge(*added)
             # structural invariants after every mutation
-            broken.validate(host)
+            validate_broken(broken, host)
             after_vertices = sorted(broken.path) + sorted(
                 v for c in broken.cycles for v in c
             )

@@ -143,6 +143,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([], 1, str(tmp_path / "x.csv"))
 
+    def test_parallel_sweep_writes_the_serial_rows(self, tmp_path):
+        # the worker pool gives the header and rows of the serial loop; only
+        # the wall time may differ
+        grid = [Params(n=40, p0=0.9, eta=0.3, seed=0)]
+        wall = CSV_HEADER.index("wall_ms")
+        tables = []
+        for jobs in (1, 2):
+            out = tmp_path / f"sweep{jobs}.csv"
+            sweep(grid, 2, str(out), jobs=jobs)
+            with open(out) as fh:
+                header, *body = list(csv.reader(fh))
+            assert header == CSV_HEADER and len(body) == 2
+            tables.append([row[:wall] + row[wall + 1:] for row in body])
+        assert tables[0] == tables[1]
+
 
 class TestVerify:
     def _fixture(self, tmp_path):
@@ -224,6 +239,30 @@ class TestVerify:
         out.write_text(json.dumps(doc))
         verdict = verify_result(str(out), str(graph_out))
         assert not verdict["ok"]
+
+    def test_detects_a_repeated_vertex(self, tmp_path):
+        out, graph_out = self._fixture(tmp_path)
+        doc = json.loads(out.read_text())
+        cyc = doc["hamilton_cycles"][0]
+        doc["hamilton_cycles"][0] = cyc[:-1] + [cyc[0]]
+        out.write_text(json.dumps(doc))
+        verdict = verify_result(str(out), str(graph_out))
+        assert verdict == {"ok": False, "cycle": 0, "reason": f"repeated vertex {cyc[0]}"}
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_no_cycle_is_certified_below_three_vertices(self, tmp_path, n):
+        # a Hamilton cycle needs at least 3 vertices, whatever is listed
+        result, graph = tmp_path / "r.json", tmp_path / "g.txt"
+        graph.write_text(Graph.complete(n).to_text())
+        for cycles in ([list(range(n))], [list(range(n))] * 3, [[], [0]]):
+            result.write_text(json.dumps({"params": {"n": n}, "achieved_cycles": len(cycles),
+                                          "hamilton_cycles": cycles}))
+            verdict = verify_result(str(result), str(graph))
+            assert verdict == {"ok": False, "cycle": 0,
+                               "reason": f"no Hamilton cycle on {n} < 3 vertices"}
+        result.write_text(json.dumps({"params": {"n": n}, "achieved_cycles": 0,
+                                      "hamilton_cycles": []}))
+        assert verify_result(str(result), str(graph)) == {"ok": True, "cycles": 0}
 
 
 class TestCliExitCodes:
@@ -310,6 +349,14 @@ class TestCliExitCodes:
         verdict = verify_result(str(result), str(graph))
         assert not verdict["ok"]
         assert verdict["reason"] == f"vertices outside 0..4: {[cycle[-1]]}"
+
+    def test_verify_fails_on_an_empty_graph_with_cycles(self, tmp_path, capsys):
+        result, graph = tmp_path / "r.json", tmp_path / "g.txt"
+        result.write_text(json.dumps({"params": {"n": 0}, "achieved_cycles": 3,
+                                      "hamilton_cycles": [[], [], []]}))
+        graph.write_text("0 0\n")
+        assert main(["verify", str(result), str(graph)]) == EXIT_VERIFY_FAIL
+        assert json.loads(capsys.readouterr().out)["ok"] is False
 
     def test_diag_without_trials(self, capsys):
         assert main(["diag", "--n", "30", "--p0", "0.3", "--eta", "0.25",

@@ -176,6 +176,18 @@ class TestExtraction:
         f, r = extract_with_retry(Graph.cycle(6), 6)
         assert r == 2 and f == Graph.cycle(6)
 
+    def test_retry_steps_down_r(self):
+        # two K_5 sharing vertex 0: minimum degree 4, but a 4-factor would
+        # need all 8 edges at vertex 0, so only r = 2 is found
+        g = Graph(9, [(u, v) for block in ([0, 1, 2, 3, 4], [0, 5, 6, 7, 8])
+                      for u, v in combinations(block, 2)])
+        assert g.min_degree() == 4
+        assert not tutte_check_exhaustive(g, 4).exists
+        assert extract_r_factor(g, 4) is None
+        f, r = extract_with_retry(g, 4)
+        assert r == 2 and f.edges <= g.edges
+        assert all(f.degree(v) == 2 for v in range(g.n))
+
     def test_retry_floor(self):
         f, r = extract_with_retry(Graph.cycle(6), 6, floor_r=4)
         assert f is None and r == 0

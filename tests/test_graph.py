@@ -15,14 +15,14 @@ from hamdecomp.graph import (
     BrokenTwoFactor,
     Graph,
     balanced_orientation,
-    check_cycle_cover,
     cycle_cover_edges,
     euler_circuits,
     norm_edge,
-    path_edges,
 )
 from hamdecomp.matching import is_perfect, max_matching_general
 from hamdecomp.sampler import Params, sample_gnp
+
+from cover_checks import check_cycle_cover, path_edges, validate_broken
 
 
 def random_graph_strategy(max_n=10):
@@ -64,7 +64,7 @@ class TestBasics:
 
     def test_neighbors_sorted(self):
         g = Graph(5, [(0, 3), (0, 1), (0, 4)])
-        assert g.neighbors(0) == [1, 3, 4]
+        assert g.adj(0) == [1, 3, 4]
 
 
 class TestEdgeCountBetween:
@@ -175,7 +175,7 @@ class TestCycleCover:
 class TestBrokenTwoFactor:
     def test_validate_good(self):
         b = BrokenTwoFactor(n=6, cycles=[[3, 4, 5]], path=[0, 2, 1])
-        b.validate()
+        validate_broken(b)
         assert b.offpath_vertices() == {3, 4, 5}
         assert b.cycle_index_of(4) == 0
         assert b.cycle_index_of(0) is None
@@ -183,23 +183,23 @@ class TestBrokenTwoFactor:
     def test_validate_rejects_overlap(self):
         b = BrokenTwoFactor(n=6, cycles=[[2, 4, 5]], path=[0, 2, 1])
         with pytest.raises(ValueError):
-            b.validate()
+            validate_broken(b)
 
     def test_validate_rejects_nonspanning(self):
         b = BrokenTwoFactor(n=7, cycles=[[3, 4, 5]], path=[0, 2, 1])
         with pytest.raises(ValueError):
-            b.validate()
+            validate_broken(b)
 
     def test_validate_against_host(self):
         host = Graph(4, [(0, 1), (1, 2)])
         b = BrokenTwoFactor(n=4, cycles=[], path=[0, 1, 2, 3])
         with pytest.raises(ValueError):
-            b.validate(host)
+            validate_broken(b, host)
 
     def test_spanning_path_closes_iff_edge(self):
         host = Graph.cycle(5)
         b = BrokenTwoFactor(n=5, cycles=[], path=[0, 1, 2, 3, 4])
-        b.validate(host)
+        validate_broken(b, host)
         assert host.has_edge(b.path[0], b.path[-1])
         assert host.verify_hamilton_cycle(b.path)
 
@@ -297,6 +297,16 @@ class TestEulerCircuits:
                 balanced_orientation(g, rotate)
                 adj = seen.pop()
                 assert list(euler_circuits(adj)) == list(reference_euler_circuits(adj))
+
+    def test_balanced_orientation_leaves_the_graph_unchanged(self):
+        # it reads g's own lists; odd vertices and rotations get new lists
+        g = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+        assert [v for v in range(g.n) if g.degree(v) % 2] == [0, 2, 3, 4]
+        before = [list(g.adj(v)) for v in range(g.n)]
+        for rotate in range(3):
+            arcs = balanced_orientation(g, rotate)
+            assert sorted(norm_edge(a, b) for a, b in arcs) == sorted(g.edges)
+            assert [g.adj(v) for v in range(g.n)] == before
 
 
 # -- sorted neighbour lists ----------------------------------------------------
@@ -404,15 +414,6 @@ class TestSortedAdjacency:
                     assert_sorted_adjacency(f)
                     built += 1
         assert built >= 20
-
-    def test_neighbors_is_a_copy(self):
-        g = Graph(5, [(0, 3), (0, 1), (0, 4)])
-        nbrs = g.neighbors(0)
-        assert nbrs == g.adj(0) == [1, 3, 4]
-        nbrs.append(2)
-        nbrs.reverse()
-        assert g.adj(0) == [1, 3, 4]
-        assert_sorted_adjacency(g)
 
     def test_components_match_set_reference(self):
         rnd = random.Random(27)

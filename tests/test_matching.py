@@ -18,7 +18,7 @@ from hamdecomp.matching import (
 
 
 def _adj(g: Graph) -> list[list[int]]:
-    return [g.neighbors(v) for v in range(g.n)]
+    return [g.adj(v) for v in range(g.n)]
 
 
 def matching_size(match: list[int]) -> int:

@@ -10,8 +10,9 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamdecomp import rotation
 from hamdecomp.factors import extract_with_retry
-from hamdecomp.graph import BrokenTwoFactor, Graph, cycle_cover_edges, norm_edge, path_edges
+from hamdecomp.graph import BrokenTwoFactor, Graph, cycle_cover_edges, norm_edge
 from hamdecomp.rotation import (
     GammaView,
     TranscriptRecord,
@@ -27,6 +28,8 @@ from hamdecomp.rotation import (
 )
 from hamdecomp.sampler import Params, sample_gnp, split
 from hamdecomp.twofactor import peel_all
+
+from cover_checks import broken_edges, path_edges, validate_broken
 
 TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 
@@ -57,10 +60,10 @@ def random_broken(n, seed, q):
         cycles.append(rest[:size])
         rest = rest[size:]
     broken = BrokenTwoFactor(n=n, cycles=cycles, path=path + rest)
-    edges = broken.edges() | {
+    edges = broken_edges(broken) | {
         (u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < q
     }
-    return broken, GammaView(Graph(n, edges), broken.edges())
+    return broken, GammaView(Graph(n, edges), broken_edges(broken))
 
 
 class TestBreakToPath:
@@ -70,7 +73,7 @@ class TestBreakToPath:
         assert rec.deleted == (0, 1)  # lexicographically smallest edge
         assert broken.path == [0, 2, 1]
         assert broken.cycles == [[3, 4, 5]]
-        broken.validate()
+        validate_broken(broken)
 
     def test_single_hamilton_cycle(self):
         broken, rec = break_to_path([[2, 0, 1, 3]], 4)
@@ -122,7 +125,7 @@ class TestAbsorb:
         assert deleted == (3, 4)
         assert broken.path == [0, 2, 1, 3, 5, 4]
         assert broken.cycles == []
-        broken.validate()
+        validate_broken(broken)
 
     def test_entry_on_path_rejected(self):
         broken = BrokenTwoFactor(n=6, cycles=[[3, 4, 5]], path=[0, 2, 1])
@@ -147,7 +150,7 @@ class TestPosaSearch:
     def test_extend_preferred(self):
         g0, _ = two_triangle_fixture([(1, 3)])
         broken = BrokenTwoFactor(n=6, cycles=[[3, 4, 5]], path=[0, 2, 1])
-        gamma = GammaView(g0, broken.edges())
+        gamma = GammaView(g0, broken_edges(broken))
         outcome = posa_search(broken, gamma)
         assert outcome.kind == "extend"
         assert outcome.added == (1, 3)
@@ -197,7 +200,7 @@ class TestPosaSearch:
             apply(broken, TranscriptRecord(step=1, kind="absorb", added=outcome.added))
         else:
             assert outcome.added == norm_edge(broken.path[0], broken.path[-1])
-        broken.validate(gamma.host)
+        validate_broken(broken, gamma.host)
 
 
 class TestSearchStopRule:
@@ -366,6 +369,43 @@ class TestConvertAll:
             assert final in conv.hamilton_cycles
             done += 1
         assert done == len(conv.hamilton_cycles)
+
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_conversion_and_replay_leave_the_factors_unchanged(self, audit):
+        # break_to_path copies the factor it is given, so neither the
+        # conversion nor a replay may change the caller's cycles
+        params = Params(n=70, p0=0.6, eta=0.3, seed=2)
+        s = split(sample_gnp(params.n, params.p0, params.seed), params)
+        f, r = extract_with_retry(s.g1, params.r1)
+        factors = peel_all(f, r).factors
+        before = json.dumps(factors)
+        conv = convert_all(factors, s.g0, s.g2, params, audit=audit, max_states=5)
+        assert conv.total_rotations > 0 and conv.hamilton_cycles
+        assert json.dumps(factors) == before
+        for fi, transcript in conv.transcripts.items():
+            replay(factors[fi], transcript, params.n)
+        assert json.dumps(factors) == before
+
+    @pytest.mark.parametrize("mode, levels", [("enforce", 10), ("report", 64)])
+    def test_enforce_mode_caps_the_search_depth_by_the_budgets(self, monkeypatch, mode, levels):
+        # with E0 = 2 and E1 = 3, enforce mode searches 2·E0 + 2·E1 = 10
+        # levels deep; report mode keeps the default
+        class _CappedParams:
+            budgets_defined = True
+            e0 = 2.0
+            e1 = 3.0
+
+        seen = []
+
+        def spy(broken, gamma, max_states=2000, max_levels=64):
+            seen.append(max_levels)
+            return posa_search(broken, gamma, max_states, max_levels)
+
+        monkeypatch.setattr(rotation, "posa_search", spy)
+        g0, factors = two_triangle_fixture([(1, 3), (0, 4)])
+        conv = convert_all(factors, g0, Graph(6), _CappedParams(), mode=mode)
+        assert len(conv.hamilton_cycles) == 1
+        assert seen and set(seen) == {levels}
 
     def test_edges_disjoint_across_cycles(self):
         params = Params(n=80, p0=0.7, eta=0.25, seed=3)

@@ -16,16 +16,25 @@ from hamdecomp.twofactor import (
     peel_all,
 )
 
+from cover_checks import validate_two_factors
+
+
+def assert_balanced(o, h):
+    """out = in = deg/2 at every vertex, and one arc per host edge."""
+    ind = o.in_degrees()
+    assert all(len(o.out[v]) == ind[v] == h.degree(v) // 2 for v in range(h.n))
+    assert sorted(tuple(sorted((v, w))) for v in range(h.n) for w in o.out[v]) == sorted(h.edges)
+
 
 class TestEulerOrient:
     def test_c4(self):
         o = euler_orient(Graph.cycle(4))
-        o.validate()
+        assert_balanced(o, Graph.cycle(4))
         assert all(len(o.out[v]) == 1 for v in range(4))
 
     def test_k5(self):
         o = euler_orient(Graph.complete(5))
-        o.validate()
+        assert_balanced(o, Graph.complete(5))
         assert all(len(o.out[v]) == 2 for v in range(5))
 
     def test_rejects_odd_degree(self):
@@ -35,7 +44,7 @@ class TestEulerOrient:
     def test_disconnected(self):
         g = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         o = euler_orient(g)
-        o.validate()
+        assert_balanced(o, g)
 
 
 class TestBipartiteDouble:
@@ -54,7 +63,7 @@ class TestBipartiteDouble:
 
     def test_empty_host(self):
         o = euler_orient(Graph(0))
-        o.validate()
+        assert_balanced(o, Graph(0))
         assert o.out == [] and o.in_degrees() == []
 
     def test_matching_failure_reported(self, monkeypatch):
@@ -69,15 +78,14 @@ class TestBipartiteDouble:
             peel_all(Graph.complete(5))
 
     def test_skewed_orientation_trips_the_regularity_check(self, monkeypatch):
-        # out-degrees 3, 1, 2, 2, 2 on K5: not a balanced orientation; with
-        # validate bypassed, the per-round check must still catch it
+        # out-degrees 3, 1, 2, 2, 2 on K5: not a balanced orientation, which
+        # the check before round 0 catches
         skewed = {0: [1, 2, 3], 1: [2], 2: [3, 4], 3: [4, 1], 4: [0, 1]}
 
         def orient(h):
             return twofactor.Orientation(host=h, out=[skewed[v] for v in range(h.n)])
 
         monkeypatch.setattr(twofactor, "euler_orient", orient)
-        monkeypatch.setattr(twofactor.Orientation, "validate", lambda self: None)
         with pytest.raises(AssertionError, match="2-regular before round 0"):
             peel_all(Graph.complete(5))
 
@@ -115,7 +123,7 @@ class TestMatchingToFactor:
 def _assert_exact_peel(h: Graph, r: int):
     tf = peel_all(h, r)
     assert len(tf.factors) == r // 2
-    tf.validate()  # spanning, edge-disjoint, host membership
+    validate_two_factors(tf)  # spanning, edge-disjoint, host membership
     union = set()
     for f in tf.factors:
         es = cycle_cover_edges(f)
@@ -134,6 +142,13 @@ class TestPeelAll:
 
     def test_k7(self):
         _assert_exact_peel(Graph.complete(7), 6)
+
+    def test_leaves_the_host_unchanged(self):
+        # the double is peeled from euler_orient's new out-lists, not h's
+        h = Graph.complete(7)
+        before = [list(h.adj(v)) for v in range(h.n)]
+        _assert_exact_peel(h, 6)
+        assert [h.adj(v) for v in range(h.n)] == before
 
     def test_rejects_irregular(self):
         with pytest.raises(ValueError):
