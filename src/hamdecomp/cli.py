@@ -26,6 +26,20 @@ def _params(args) -> Params:
     return Params(n=args.n, p0=args.p0, eta=args.eta, seed=args.seed)
 
 
+def _grid_cell(cell) -> Params:
+    """One sweep grid cell as Params; ValueError when it is malformed."""
+    if not isinstance(cell, dict):
+        raise ValueError(f"grid cell {cell!r} is not an object")
+    values = {"n": cell["n"], "p0": cell["p0"], "eta": cell["eta"],
+              "seed": cell.get("seed", 0)}
+    for key, value in values.items():
+        integer = key in ("n", "seed")
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            raise ValueError(f"grid cell {key}={value!r} is not "
+                             f"{'an integer' if integer else 'a number'}")
+    return Params(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="hamdecomp")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -35,7 +49,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--mode", choices=["report", "enforce"], default="report")
     p_run.add_argument("--out", default=None, help="result JSON path")
     p_run.add_argument("--graph-out", default=None, help="edge-list export path")
-    p_run.add_argument("--floor-r", type=int, default=2)
     p_run.add_argument("--audit", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
@@ -70,8 +83,7 @@ def main(argv: list[str] | None = None) -> int:
         if graph_out is None and args.out:
             graph_out = args.out + ".graph.txt"
         result = harness.run(params, mode=args.mode, out_path=args.out,
-                             graph_out=graph_out, floor_r=args.floor_r,
-                             audit=args.audit)
+                             graph_out=graph_out, audit=args.audit)
         print(json.dumps({
             "achieved_cycles": result.achieved_cycles,
             "target_m": result.target_m,
@@ -101,12 +113,15 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 with open(spec) as fh:
                     cells = json.load(fh)
-            grid = [Params(n=c["n"], p0=c["p0"], eta=c["eta"], seed=c.get("seed", 0))
-                    for c in cells]
+            if not isinstance(cells, list):
+                raise ValueError("grid is not a JSON list")
+            grid = [_grid_cell(c) for c in cells]
             if not grid:
                 raise ValueError("empty grid")
             if args.seeds < 1:
                 raise ValueError("--seeds must be at least 1")
+            if args.jobs < 1:
+                raise ValueError("--jobs must be at least 1")
         except (ValueError, KeyError, OSError) as exc:
             print(f"parameter error: {exc}", file=sys.stderr)
             return EXIT_PARAM_ERROR

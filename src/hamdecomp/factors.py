@@ -336,15 +336,15 @@ def _assert_regular(f: Graph, r: int) -> None:
         raise AssertionError(f"factor not {r}-regular at vertices {bad[:5]}")
 
 
-def extract_with_retry(g1: Graph, r1: int, floor_r: int = 2) -> tuple[Graph | None, int]:
-    """Retry extraction at r1, r1-2, ... down to floor_r; returns (factor, r).
+def extract_with_retry(g1: Graph, r1: int) -> tuple[Graph | None, int]:
+    """Retry extraction at r1, r1-2, ... down to 2; returns (factor, r).
 
     Degrees above the sample's minimum cannot support a factor, so the scan
     starts at min(r1, even floor of the minimum degree).
     """
     start = min(r1, 2 * (g1.min_degree() // 2))
     r = start if start % 2 == 0 else start - 1
-    while r >= floor_r:
+    while r >= 2:
         f = extract_r_factor(g1, r)
         if f is not None:
             return f, r

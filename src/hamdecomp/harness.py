@@ -99,7 +99,6 @@ def run(
     mode: str = "report",
     out_path: str | None = None,
     graph_out: str | None = None,
-    floor_r: int = 2,
     audit: bool = False,
 ) -> DecompositionResult:
     """sample -> split -> r-factor -> 2-factor peel -> convert -> verify."""
@@ -131,7 +130,7 @@ def run(
             fh.write(g0.to_text())
 
     t = time.perf_counter()
-    factor, r_achieved = extract_with_retry(s.g1, params.r1, floor_r=floor_r)
+    factor, r_achieved = extract_with_retry(s.g1, params.r1)
     wall["extract"] = time.perf_counter() - t
     if factor is None:
         return failed("extract")

@@ -33,41 +33,29 @@ class GammaView:
     Each vertex's reservoir neighbours are its host neighbour list with the
     committed edges left out, so they stay in ascending order, and ``has``
     looks an edge up in the host's lists; no host edge set is built.  The
-    view keeps its own copy of the committed set.  ``take`` and ``give`` move
-    edges into and out of it and drop the cached neighbour lists of the
-    endpoints of the edges that moved, so one view can follow a whole
+    view owns the committed set it is given: ``take`` and ``give`` move
+    edges into and out of that set, so one view can follow a whole
     conversion.
     """
 
     def __init__(self, host: Graph, committed: set[tuple[int, int]]):
         self.host = host
-        self.committed = set(committed)
-        self._adj: list[list[int] | None] = [None] * host.n
+        self.committed = committed
 
     def adj(self, v: int) -> list[int]:
         """Reservoir neighbours of v in ascending order."""
-        cached = self._adj[v]
-        if cached is None:
-            cached = [u for u in self.host.adj(v) if norm_edge(u, v) not in self.committed]
-            self._adj[v] = cached
-        return cached
+        return [u for u in self.host.adj(v) if norm_edge(u, v) not in self.committed]
 
     def has(self, u: int, v: int) -> bool:
         return self.host.has_edge(u, v) and norm_edge(u, v) not in self.committed
 
     def take(self, edges) -> None:
         """Commit edges: they leave the reservoir."""
-        for e in edges:
-            if e not in self.committed:
-                self.committed.add(e)
-                self._adj[e[0]] = self._adj[e[1]] = None
+        self.committed.update(edges)
 
     def give(self, edges) -> None:
         """Release edges: they return to the reservoir."""
-        for e in edges:
-            if e in self.committed:
-                self.committed.remove(e)
-                self._adj[e[0]] = self._adj[e[1]] = None
+        self.committed.difference_update(edges)
 
 
 # -- elementary moves ---------------------------------------------------------
@@ -183,6 +171,9 @@ def apply(broken: BrokenTwoFactor, rec: TranscriptRecord) -> TranscriptRecord:
 
 # re-anchored states the two-sided search tries on a spanning path
 TWO_SIDED_CAP = 40
+# BFS states and rotation depth one side of a search may reach
+MAX_STATES = 2000
+MAX_LEVELS = 64
 
 
 @dataclass
@@ -332,8 +323,8 @@ def _grow_side(
 def posa_search(
     broken: BrokenTwoFactor,
     gamma: GammaView,
-    max_states: int = 2000,
-    max_levels: int = 64,
+    max_states: int = MAX_STATES,
+    max_levels: int = MAX_LEVELS,
 ) -> Outcome:
     """Find an Extend or Close outcome by two-sided rotation BFS.
 
@@ -402,13 +393,13 @@ def convert_all(
     params: Params,
     mode: str = "report",
     audit: bool = False,
-    max_states: int = 2000,
-    max_levels: int = 64,
+    max_states: int = MAX_STATES,
+    max_levels: int = MAX_LEVELS,
 ) -> ConversionResult:
     if mode not in ("report", "enforce"):
         raise ValueError(f"unknown mode {mode!r}")
     n = g0.n
-    factor_edges = [frozenset(cycle_cover_edges(f)) for f in factors]
+    factor_edges = [cycle_cover_edges(f) for f in factors]
 
     finished_edges: set[tuple[int, int]] = set()
     hamilton: list[list[int]] = []

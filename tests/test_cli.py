@@ -378,6 +378,37 @@ class TestCliExitCodes:
     def test_sweep_empty_grid(self, tmp_path):
         assert main(["sweep", "--grid", "[]", "--out", str(tmp_path / "s.csv")]) == 2
 
+    @pytest.mark.parametrize("grid, message", [
+        ([1], "grid cell 1 is not an object"),
+        ({"n": 40, "p0": 0.8, "eta": 0.3}, "grid is not a JSON list"),
+        ([{"n": "40", "p0": 0.8, "eta": 0.3}], "grid cell n='40' is not an integer"),
+        ([{"n": 40.0, "p0": 0.8, "eta": 0.3}], "grid cell n=40.0 is not an integer"),
+        ([{"n": 40, "p0": 0.8, "eta": 0.3, "seed": "x"}],
+         "grid cell seed='x' is not an integer"),
+        ([{"n": 40, "p0": "0.8", "eta": 0.3}], "grid cell p0='0.8' is not a number"),
+        ([{"n": 40, "p0": 0.8, "eta": True}], "grid cell eta=True is not a number"),
+    ])
+    def test_sweep_malformed_cell(self, tmp_path, capsys, grid, message):
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps(grid))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--grid", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"parameter error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_sweep_without_jobs(self, tmp_path, capsys, jobs):
+        out = tmp_path / "s.csv"
+        grid = json.dumps([{"n": 40, "p0": 0.8, "eta": 0.3}])
+        assert main(["sweep", "--grid", grid, "--jobs", jobs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "parameter error: --jobs must be at least 1\n"
+        assert not out.exists()
+
+    def test_run_has_no_floor_r(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--n", "40", "--p0", "0.9", "--eta", "0.3", "--floor-r", "2"])
+        assert exc.value.code == 2
+
     def test_oracle_suite(self, capsys):
         assert main(["oracle"]) == 0
         report = json.loads(capsys.readouterr().out)

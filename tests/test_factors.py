@@ -188,10 +188,6 @@ class TestExtraction:
         assert r == 2 and f.edges <= g.edges
         assert all(f.degree(v) == 2 for v in range(g.n))
 
-    def test_retry_floor(self):
-        f, r = extract_with_retry(Graph.cycle(6), 6, floor_r=4)
-        assert f is None and r == 0
-
     def test_pipeline_extraction(self):
         params = Params(n=200, p0=0.4, eta=0.25, seed=2)
         s = split(sample_gnp(params.n, params.p0, params.seed), params)

@@ -1,17 +1,18 @@
 """Production code carries no helper that only tests call.
 
 Every top-level function and class in ``src/hamdecomp``, and every method
-of those classes, must be named somewhere in ``src/``, ``perfbench/`` or
-``scripts/`` besides its own definition.  The exceptions are the reference
-oracles that tests compare the pipeline against.
+of those classes, must be referenced by code somewhere in ``src/``,
+``perfbench/`` or ``scripts/``: as a name, an attribute or an imported
+name.  Comments, docstrings and other strings do not count.  The
+exceptions are the reference oracles that tests compare the pipeline
+against.
 
-The scan matches bare words, so it misses a test-only method whose name is
-a common word (a method ``add`` is "named" by every ``set.add``) or is
-shared with another definition (two ``to_json_obj`` methods name each
-other).  Such helpers are left for review to catch.
+The scan matches names, not what they resolve to, so it misses a test-only
+method whose name is a common word (a method ``add`` is referenced by every
+``set.add``) or is shared with another definition (two ``to_json_obj``
+methods reference each other).  Such helpers are left for review to catch.
 """
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -26,6 +27,8 @@ REFERENCE_ORACLES = {
     "oracles.ordered_2factor_count": "closed-form 2-factor counts for the census",
     "oracles.FactorCensus.at_least": "census tail counts",
     "graph.Graph.from_text": "reads back the edge list that `run --graph-out` writes",
+    "rotation.replay": "re-applies a transcript to its factor, to compare with the "
+                       "converted cycle (criterion 5)",
 }
 
 
@@ -48,15 +51,41 @@ def definitions() -> list[tuple[str, str]]:
     return out
 
 
+def references(tree: ast.AST) -> Counter:
+    """How often code in ``tree`` references each name: variables, attributes
+    and imported names; definitions, comments and strings are left out."""
+    refs: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.rsplit(".", 1)[-1]] += 1
+    return refs
+
+
 def named_only_by_tests() -> list[str]:
-    text = "\n".join(
-        path.read_text()
-        for top in ("src", "perfbench", "scripts")
-        for path in sorted((ROOT / top).rglob("*.py"))
-    )
-    mentions = Counter(re.findall(r"\w+", text))
-    defined = Counter(re.findall(r"\b(?:def|class)\s+(\w+)", text))
-    return [q for q, name in definitions() if mentions[name] <= defined[name]]
+    refs: Counter = Counter()
+    for top in ("src", "perfbench", "scripts"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            refs += references(ast.parse(path.read_text()))
+    return [q for q, name in definitions() if not refs[name]]
+
+
+def test_references_skip_prose_and_definitions():
+    tree = ast.parse('''"""replay"""
+# replay
+def replay():
+    return "replay"
+import a.b.imported
+from c import from_imported
+x = f"{in_fstring()}"
+obj.attribute
+''')
+    refs = references(tree)
+    assert refs["replay"] == 0
+    assert all(refs[n] == 1 for n in ("imported", "from_imported", "in_fstring", "attribute"))
 
 
 def test_scan_sees_the_package():

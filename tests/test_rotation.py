@@ -469,12 +469,22 @@ class TestPersistentReservoir:
         assert gamma.adj(0) == [1, 3, 4]
         assert gamma.committed == {(0, 2)}
 
-    def test_constructor_copies_the_committed_set(self):
+    def test_view_owns_the_committed_set(self):
+        # the view keeps the set it is given; take and give change that set
         host = Graph.complete(4)
-        gamma = GammaView(host, host.edges)
+        committed = {(0, 1), (2, 3)}
+        gamma = GammaView(host, committed)
+        assert gamma.committed is committed
+        gamma.take([(0, 2)])
         gamma.give([(0, 1)])
-        assert (0, 1) in host.edges
-        assert gamma.has(0, 1)
+        assert committed == {(0, 2), (2, 3)}
+        assert gamma.has(0, 1) and not gamma.has(0, 2)
+        assert gamma.adj(0) == [1, 3] and gamma.adj(2) == [1]
+        # an edge already committed keeps its stored tuple, so sets built
+        # from the same factor tuples keep matching on identity
+        stored = next(e for e in committed if e == (2, 3))
+        gamma.take([tuple([2, 3])])
+        assert next(e for e in committed if e == (2, 3)) is stored
 
     def test_audit_catches_a_reservoir_that_stops_following(self, monkeypatch):
         # a reservoir that never gets edges back drifts from the from-scratch
