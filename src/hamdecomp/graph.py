@@ -49,13 +49,13 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        return cls(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+        return cls.from_pairs(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
         if n < 3:
             raise ValueError("cycle needs at least 3 vertices")
-        return cls(n, ((i, (i + 1) % n) for i in range(n)))
+        return cls.from_pairs(n, (norm_edge(i, (i + 1) % n) for i in range(n)))
 
     # -- mutation -------------------------------------------------------------
 
@@ -160,15 +160,34 @@ class Graph:
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-        n, m = map(int, lines[0].split())
-        g = cls(n)
-        for ln in lines[1 : m + 1]:
-            u, v = map(int, ln.split())
-            g.add_edge(u, v)
-        if g.num_edges != m:
-            raise ValueError(f"header claims {m} edges, parsed {g.num_edges}")
-        return g
+        return cls.from_pairs(*read_edge_list(text))
+
+
+def read_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:
+    """The vertex count n and the (min, max) edge set of the text that
+    ``Graph.to_text`` writes; blank lines and lines starting with "#" are
+    skipped.  Raises ValueError unless the text is an "n m" header with
+    n >= 0 followed by exactly m lines of m distinct edges, none a self-loop
+    and each within 0..n-1."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("the graph file has no header")
+    n, m = map(int, lines[0].split())
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    edges: set[tuple[int, int]] = set()
+    for ln in lines[1:]:
+        u, v = map(int, ln.split())
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex out of range: {(u, v)}")
+        edges.add(norm_edge(u, v))
+    if len(edges) != m:
+        raise ValueError(f"header claims {m} edges, parsed {len(edges)}")
+    if len(lines) - 1 != m:
+        raise ValueError(f"header claims {m} edges, but {len(lines) - 1} edge lines follow")
+    return n, edges
 
 
 def euler_circuits(adj: list[list[int]]) -> Iterator[list[int]]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from .factors import extract_with_retry
-from .graph import Graph, cycle_cover_edges
+from .graph import Graph, cycle_cover_edges, read_edge_list
 from .rotation import ConversionResult, convert_all
 from .sampler import Params, sample_gnp, split
 from .twofactor import cycle_statistics, peel_all
@@ -24,18 +24,20 @@ CSV_HEADER = [
 
 @dataclass
 class DecompositionResult:
+    """One run's outcome; the defaults are what a failed run leaves empty."""
+
     params: Params
-    achieved_cycles: int
     target_m: int
-    edge_coverage: float
-    r_achieved: int
-    n_factors: int
-    hamilton_cycles: list[list[int]]
-    per_factor_outcomes: list[dict]
-    rotation_stats: dict
-    ledger: list
-    cycle_stats: dict
     wall_times: dict[str, float]
+    achieved_cycles: int = 0
+    edge_coverage: float = 0.0
+    r_achieved: int = 0
+    n_factors: int = 0
+    hamilton_cycles: list[list[int]] = field(default_factory=list)
+    per_factor_outcomes: list[dict] = field(default_factory=list)
+    rotation_stats: dict = field(default_factory=dict)
+    ledger: list = field(default_factory=list)
+    cycle_stats: dict = field(default_factory=dict)
     phase_failed: str | None = None
     conversion: ConversionResult | None = field(default=None, repr=False)
 
@@ -112,14 +114,8 @@ def run(
         return result
 
     def failed(phase: str) -> DecompositionResult:
-        return finish(
-            DecompositionResult(
-                params=params, achieved_cycles=0, target_m=target_m,
-                edge_coverage=0.0, r_achieved=0, n_factors=0,
-                hamilton_cycles=[], per_factor_outcomes=[], rotation_stats={},
-                ledger=[], cycle_stats={}, wall_times=wall, phase_failed=phase,
-            )
-        )
+        return finish(DecompositionResult(params=params, target_m=target_m,
+                                          wall_times=wall, phase_failed=phase))
 
     t = time.perf_counter()
     g0 = sample_gnp(params.n, params.p0, params.seed)
@@ -219,20 +215,20 @@ def sweep(
 def verify_result(result_path: str, graph_path: str) -> dict:
     """Independent re-audit of a serialized result against its graph.
 
-    Re-parses the edge list directly and re-checks every cycle for
-    Hamiltonicity, edge membership, and pairwise edge-disjointness without
-    touching the pipeline's own audit paths.  The result's own claims must
-    agree with what is re-read: ``achieved_cycles`` with the number of
-    cycles and ``params.n`` with the graph's vertex count.  Raises
-    ValueError when either file is malformed: a result that is not an
-    object with an object ``params`` and a list of vertex lists, or an edge
-    list whose header's edge count differs from the edges it lists or that
-    names a self-loop or a vertex outside 0..n-1.
+    Re-reads the edge list with ``read_edge_list``, which the run itself
+    never calls, and re-checks every cycle for Hamiltonicity, edge
+    membership, and pairwise edge-disjointness without touching the
+    pipeline's own audit paths.  The result's own claims must agree with
+    what is re-read: ``achieved_cycles`` with the number of cycles and
+    ``params.n`` with the graph's vertex count.  Raises ValueError when
+    either file is malformed: a result that is not an object with an object
+    ``params`` and a list of vertex lists, or an edge list that
+    ``read_edge_list`` rejects.
     """
     with open(result_path) as fh:
         doc = json.load(fh)
     with open(graph_path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip() and not ln.startswith("#")]
+        text = fh.read()
     if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
         raise ValueError("the result and its params must be JSON objects")
     cycles = doc.get("hamilton_cycles", [])
@@ -240,19 +236,7 @@ def verify_result(result_path: str, graph_path: str) -> dict:
             and all(isinstance(c, list) and all(type(v) is int for v in c)
                     for c in cycles)):
         raise ValueError("hamilton_cycles must be a list of lists of vertices")
-    if not lines:
-        raise ValueError("the graph file has no header")
-    n, m = map(int, lines[0].split())
-    edge_set: set[tuple[int, int]] = set()
-    for ln in lines[1 : m + 1]:
-        u, v = map(int, ln.split())
-        if u == v:
-            raise ValueError(f"self-loop at {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"vertex out of range: {(u, v)}")
-        edge_set.add((min(u, v), max(u, v)))
-    if len(edge_set) != m:
-        raise ValueError(f"header claims {m} edges, parsed {len(edge_set)}")
+    n, edge_set = read_edge_list(text)
     claimed_n = doc.get("params", {}).get("n")
     if claimed_n != n:
         return {"ok": False, "reason": f"params.n is {claimed_n} but the graph has {n} vertices"}

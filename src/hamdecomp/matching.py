@@ -6,30 +6,16 @@ from collections import deque
 from itertools import combinations
 
 
-def greedy_matching(adj: list[list[int]], match: list[int] | None = None) -> list[int]:
-    """Maximal matching by ascending-id scan; used to seed blossom search."""
-    n = len(adj)
-    if match is None:
-        match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            for u in adj[v]:
-                if match[u] == -1 and u != v:
-                    match[v] = u
-                    match[u] = v
-                    break
-    return match
-
-
 def max_matching_general(adj: list[list[int]], init: list[int] | None = None) -> list[int]:
     """Maximum cardinality matching via augmenting paths with blossom
     contraction.  Returns match[v] = partner or -1.
 
-    O(V*E) per augmentation; a greedy (or caller-provided) initial matching
-    keeps the number of augmentations small.
+    O(V*E) per augmentation.  The search starts from a copy of the
+    caller's initial matching ``init``, which keeps the number of
+    augmentations small, or from the empty matching when there is none.
     """
     n = len(adj)
-    match = greedy_matching(adj, list(init) if init is not None else None)
+    match = list(init) if init is not None else [-1] * n
     p = [-1] * n      # alternating-tree parents
     base = [0] * n    # blossom base of each vertex
     q: deque[int] = deque()
@@ -113,7 +99,7 @@ def is_perfect(match: list[int]) -> bool:
 
 
 def brute_max_matching_size(adj: list[list[int]]) -> int:
-    """Exhaustive maximum matching size; reference oracle for n <= 10.
+    """Exhaustive maximum matching size; reference oracle for n <= 16.
     Sizes are tried downward from n // 2, the most a matching can have: k
     edges form a matching when their 2k endpoints are distinct."""
     n = len(adj)

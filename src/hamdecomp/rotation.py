@@ -567,11 +567,8 @@ def convert_all(
                            cap=cap, within_cap=within)
             )
             if done:
-                cycle = list(broken.path)
-                if not g0.verify_hamilton_cycle(cycle):
-                    raise AssertionError("produced cycle failed verification")
                 finished_edges.update(fstar)
-                hamilton.append(cycle)
+                hamilton.append(list(broken.path))
             if audit:
                 committed_before = audit_step(fstar, 0 if done else len(fstar),
                                               committed_before, consumed_net, returned_net)

@@ -81,16 +81,18 @@ def peel_all(h: Graph, r: int | None = None) -> TwoFactorSet:
         raise ValueError(f"need even regular degree, got r={r}, degree={deg}")
     o = euler_orient(h)
     # the bipartite double (x -> y per arc) is peeled from the orientation's
-    # own new out-lists; ind tracks its in-degrees.  Round 0's check is the
-    # balance check: out = in = r/2 on an r-regular host
+    # own new out-lists; ind tracks its in-degrees.  The balance check:
+    # out = in = r/2 on an r-regular host
     adj_x = o.out
     ind = o.in_degrees()
-    tf = TwoFactorSet(host=h)
     expected = r // 2
+    if any(len(heads) != expected for heads in adj_x) or any(i != expected for i in ind):
+        raise AssertionError(f"double not {expected}-regular before round 0")
+    tf = TwoFactorSet(host=h)
     for round_idx in range(expected):
+        # the double stays regular: each round removes one out-arc per x
+        # (list.remove raises otherwise) and one in-arc per y (checked below)
         left = expected - round_idx
-        if any(len(heads) != left for heads in adj_x) or any(i != left for i in ind):
-            raise AssertionError(f"double not {left}-regular before round {round_idx}")
         # a regular bipartite graph always has a perfect matching
         match = hopcroft_karp(adj_x, h.n)
         if -1 in match:

@@ -7,10 +7,11 @@ import pytest
 
 from hamdecomp import harness
 from hamdecomp.cli import EXIT_VERIFY_FAIL, main
-from hamdecomp.graph import Graph
+from hamdecomp.graph import Graph, cycle_cover_edges
 from hamdecomp.harness import CSV_HEADER, _reverify, run, sweep, verify_result
 from hamdecomp.rotation import GammaView
-from hamdecomp.sampler import Params
+from hamdecomp.sampler import Params, sample_gnp
+from hamdecomp.twofactor import TwoFactorSet
 
 
 class TestRun:
@@ -60,6 +61,20 @@ def _convert_with_bad_cycles(monkeypatch):
     monkeypatch.setattr(harness, "convert_all", convert)
 
 
+def _peel_to_a_non_edge(monkeypatch, params):
+    """Make peeling hand conversion one factor: a spanning cycle of G0's
+    vertices with one non-edge of G0.  Breaking it removes its smallest
+    edge, from 0 to a neighbour u, and conversion closes it again at once,
+    so the non-edge stays in the converted cycle."""
+    g0 = sample_gnp(params.n, params.p0, params.seed)
+    u, v = next((u, v) for u in g0.adj(0) for v in range(1, g0.n)
+                if v != u and not g0.has_edge(u, v))
+    cycle = [0, u, v] + [w for w in range(1, g0.n) if w not in (u, v)]
+    monkeypatch.setattr(harness, "peel_all",
+                        lambda h, r: TwoFactorSet(host=h, factors=[[cycle]]))
+    return cycle
+
+
 class TestDroppedCycles:
     def test_reverify_drops_corrupted_and_duplicated_cycles(self):
         g0 = Graph.complete(5)
@@ -73,6 +88,21 @@ class TestDroppedCycles:
         result = run(Params(n=40, p0=0.9, eta=0.3, seed=1))
         assert result.rotation_stats["dropped"] == 2
         assert result.achieved_cycles == len(result.conversion.hamilton_cycles) - 2
+
+    def test_a_converted_non_cycle_is_dropped_not_raised(self, monkeypatch):
+        params = Params(n=40, p0=0.9, eta=0.3, seed=1)
+        cycle = _peel_to_a_non_edge(monkeypatch, params)
+        result = run(params)
+        (converted,) = result.conversion.hamilton_cycles
+        assert cycle_cover_edges([converted]) == cycle_cover_edges([cycle])
+        assert result.rotation_stats["dropped"] == 1
+        assert result.hamilton_cycles == [] and result.achieved_cycles == 0
+
+    def test_cli_run_fails_verification_on_a_converted_non_cycle(self, monkeypatch, capsys):
+        _peel_to_a_non_edge(monkeypatch, Params(n=40, p0=0.9, eta=0.3, seed=1))
+        code = main(["run", "--n", "40", "--p0", "0.9", "--eta", "0.3", "--seed", "1"])
+        assert code == EXIT_VERIFY_FAIL
+        assert "1 converted cycles" in capsys.readouterr().err
 
     def test_clean_run_drops_nothing(self):
         assert run(Params(n=40, p0=0.9, eta=0.3, seed=1)).rotation_stats["dropped"] == 0
@@ -349,6 +379,21 @@ class TestCliExitCodes:
         verdict = verify_result(str(result), str(graph))
         assert not verdict["ok"]
         assert verdict["reason"] == f"vertices outside 0..4: {[cycle[-1]]}"
+
+    @pytest.mark.parametrize("text,n,cycles,message", [
+        # the header claims fewer edges than the file lists
+        ("3 1\n0 1\n1 2\n0 2\n", 3, [], "header claims 1 edges, parsed 3"),
+        ("3 1\n0 1\n1 2\n0 2\n", 3, [[0, 1, 2]], "header claims 1 edges, parsed 3"),
+        ("3 1\n0 1\n0 1\n", 3, [], "but 2 edge lines follow"),
+        ("-4 0\n", -4, [], "nonnegative"),
+    ])
+    def test_verify_rejects_a_malformed_header(self, tmp_path, capsys, text, n, cycles, message):
+        result, graph = tmp_path / "r.json", tmp_path / "g.txt"
+        result.write_text(json.dumps({"params": {"n": n}, "achieved_cycles": len(cycles),
+                                      "hamilton_cycles": cycles}))
+        graph.write_text(text)
+        assert main(["verify", str(result), str(graph)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_verify_fails_on_an_empty_graph_with_cycles(self, tmp_path, capsys):
         result, graph = tmp_path / "r.json", tmp_path / "g.txt"

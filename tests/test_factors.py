@@ -103,6 +103,23 @@ class TestGadget:
         with pytest.raises(ValueError):
             build_gadget(Graph.cycle(5), 3)
 
+    def test_seed_matching_is_maximal(self):
+        # the blossom matcher starts from the seed as it is, so the seed is
+        # a valid matching that leaves no gadget edge with both ends free
+        rnd = random.Random(31)
+        for n in range(2, 16):
+            g = random_graph(n, rnd.uniform(0.2, 1.0), rnd.randrange(10**6))
+            for r in range(1, g.min_degree() + 1):
+                if r * n % 2:
+                    continue
+                gadget = build_gadget(g, r)
+                match = factors._seed_matching(gadget)
+                for a, b in enumerate(match):
+                    if b == -1:
+                        assert all(match[c] != -1 for c in gadget.adj[a])
+                    else:
+                        assert match[b] == a and b in gadget.adj[a]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_gadget_soundness_counts(self, seed):
         # distinct factors from gadget perfect matchings == brute enumeration

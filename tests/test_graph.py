@@ -146,6 +146,25 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Graph.from_text("3 2\n0 1\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "no header"),
+        ("# only a comment\n\n", "no header"),
+        ("3 1\n0 1\n1 2\n0 2\n", "header claims 1 edges, parsed 3"),
+        ("3 1\n0 1\n0 1\n", "header claims 1 edges, but 2 edge lines follow"),
+        ("3 2\n0 1\n1 0\n", "header claims 2 edges, parsed 1"),
+        ("-4 0\n", "nonnegative"),
+        ("3 1\n1 1\n", "self-loop"),
+        ("3 1\n0 3\n", "out of range"),
+    ])
+    def test_malformed_text(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_text(text)
+
+    def test_reader_skips_blank_and_comment_lines(self):
+        text = "# a triangle\n3 3\n\n0 1\n# middle\n2 1\n0 2\n"
+        assert graph.read_edge_list(text) == (3, {(0, 1), (1, 2), (0, 2)})
+        assert Graph.from_text(text) == Graph.cycle(3)
+
     @given(random_graph_strategy())
     def test_roundtrip_property(self, g):
         assert Graph.from_text(g.to_text()) == g

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from hamdecomp.graph import Graph
 from hamdecomp.matching import (
     brute_max_matching_size,
-    greedy_matching,
     hopcroft_karp,
     is_perfect,
     max_matching_general,
@@ -126,16 +125,6 @@ def test_brute_matcher_agrees_with_the_full_enumeration():
     # maximum matchings of every size, some smaller than n // 2
     assert {k for k, _ in sizes} == {0, 1, 2, 3, 4}
     assert (2, True) in sizes
-
-
-class TestGreedy:
-    def test_is_maximal(self):
-        g = Graph.cycle(7)
-        adj = _adj(g)
-        match = greedy_matching(adj)
-        _check_valid(adj, match)
-        for u, v in g.edges:
-            assert match[u] != -1 or match[v] != -1
 
 
 class TestHopcroftKarp:

@@ -3,9 +3,11 @@
 Every top-level function and class in ``src/hamdecomp``, and every method
 of those classes, must be referenced by code somewhere in ``src/``,
 ``perfbench/`` or ``scripts/``: as a name, an attribute or an imported
-name.  Comments, docstrings and other strings do not count.  The
-exceptions are the reference oracles that tests compare the pipeline
-against.
+name.  Comments, docstrings and other strings do not count, and neither
+does code inside a definition that is itself test-only, so a helper that
+only test-only code calls is test-only too (found by dropping test-only
+definitions until none is left to drop).  The exceptions are the
+reference oracles that tests compare the pipeline against.
 
 The scan matches names, not what they resolve to, so it misses a test-only
 method whose name is a common word (a method ``add`` is referenced by every
@@ -23,27 +25,41 @@ REFERENCE_ORACLES = {
     "factors.tutte_quantities": "R_r(S,T) and Q_r(S,T) of one partition, "
                                 "checked against the exhaustive oracle",
     "factors.tutte_check_exhaustive": "exhaustive r-factor existence oracle",
+    "factors.TutteVerdict": "the verdict that `tutte_check_exhaustive` returns",
     "matching.brute_max_matching_size": "exhaustive maximum-matching oracle",
     "oracles.ordered_2factor_count": "closed-form 2-factor counts for the census",
     "oracles.FactorCensus.at_least": "census tail counts",
     "graph.Graph.from_text": "reads back the edge list that `run --graph-out` writes",
+    "graph.Graph.components": "the components of G[U], for the odd-component count of "
+                              "`tutte_quantities`",
     "rotation.replay": "re-applies a transcript to its factor, to compare with the "
                        "converted cycle (criterion 5)",
 }
 
 
-def definitions() -> list[tuple[str, str]]:
-    """(qualified name, bare name) of each top-level def and class of the
-    package and of each method of those classes, dunders left out."""
+def parsed() -> dict[Path, ast.Module]:
+    """The syntax tree of every Python file under the three code roots."""
+    return {
+        path: ast.parse(path.read_text())
+        for top in ("src", "perfbench", "scripts")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+
+
+def definitions(trees: dict[Path, ast.Module]) -> list[tuple[str, str, ast.AST]]:
+    """(qualified name, bare name, node) of each top-level def and class of
+    the package and of each method of those classes, dunders left out."""
     out = []
-    for path in sorted((ROOT / "src" / "hamdecomp").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for path, tree in trees.items():
+        if path.parent != ROOT / "src" / "hamdecomp":
+            continue
+        for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            out.append((f"{path.stem}.{node.name}", node.name))
+            out.append((f"{path.stem}.{node.name}", node.name, node))
             if isinstance(node, ast.ClassDef):
                 out.extend(
-                    (f"{path.stem}.{node.name}.{sub.name}", sub.name)
+                    (f"{path.stem}.{node.name}.{sub.name}", sub.name, sub)
                     for sub in node.body
                     if isinstance(sub, ast.FunctionDef)
                     and not (sub.name.startswith("__") and sub.name.endswith("__"))
@@ -51,26 +67,39 @@ def definitions() -> list[tuple[str, str]]:
     return out
 
 
-def references(tree: ast.AST) -> Counter:
+def references(tree: ast.AST, skip: frozenset = frozenset()) -> Counter:
     """How often code in ``tree`` references each name: variables, attributes
-    and imported names; definitions, comments and strings are left out."""
+    and imported names; definitions, comments and strings are left out, and
+    so is every node in ``skip`` with all it holds."""
     refs: Counter = Counter()
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
         if isinstance(node, ast.Name):
             refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
             refs[node.attr] += 1
         elif isinstance(node, ast.alias):
             refs[node.name.rsplit(".", 1)[-1]] += 1
+        stack.extend(ast.iter_child_nodes(node))
     return refs
 
 
 def named_only_by_tests() -> list[str]:
-    refs: Counter = Counter()
-    for top in ("src", "perfbench", "scripts"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            refs += references(ast.parse(path.read_text()))
-    return [q for q, name in definitions() if not refs[name]]
+    trees = parsed()
+    defs = definitions(trees)
+    test_only: list[str] = []
+    while True:
+        skip = frozenset(node for q, _, node in defs if q in test_only)
+        refs: Counter = Counter()
+        for tree in trees.values():
+            refs += references(tree, skip)
+        found = [q for q, name, _ in defs if not refs[name]]
+        if found == test_only:
+            return found
+        test_only = found
 
 
 def test_references_skip_prose_and_definitions():
@@ -89,7 +118,7 @@ obj.attribute
 
 
 def test_scan_sees_the_package():
-    names = {q for q, _ in definitions()}
+    names = {q for q, _, _ in definitions(parsed())}
     assert {"rotation.convert_all", "graph.Graph.add_edge", "factors.max_flow"} <= names
 
 
