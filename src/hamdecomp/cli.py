@@ -46,7 +46,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="end-to-end decomposition of one sample")
     _add_param_flags(p_run)
-    p_run.add_argument("--mode", choices=["report", "enforce"], default="report")
     p_run.add_argument("--out", default=None, help="result JSON path")
     p_run.add_argument("--graph-out", default=None, help="edge-list export path")
     p_run.add_argument("--audit", action="store_true")
@@ -56,7 +55,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="JSON list of {n,p0,eta,seed} cells, or a file path")
     p_sweep.add_argument("--seeds", type=int, default=1)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--mode", choices=["report", "enforce"], default="report")
     p_sweep.add_argument("--out", required=True)
 
     p_ver = sub.add_parser("verify", help="re-audit a result file")
@@ -82,8 +80,8 @@ def main(argv: list[str] | None = None) -> int:
         graph_out = args.graph_out
         if graph_out is None and args.out:
             graph_out = args.out + ".graph.txt"
-        result = harness.run(params, mode=args.mode, out_path=args.out,
-                             graph_out=graph_out, audit=args.audit)
+        result = harness.run(params, out_path=args.out, graph_out=graph_out,
+                             audit=args.audit)
         print(json.dumps({
             "achieved_cycles": result.achieved_cycles,
             "target_m": result.target_m,
@@ -125,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, KeyError, OSError) as exc:
             print(f"parameter error: {exc}", file=sys.stderr)
             return EXIT_PARAM_ERROR
-        rows = harness.sweep(grid, args.seeds, args.out, mode=args.mode, jobs=args.jobs)
+        rows = harness.sweep(grid, args.seeds, args.out, jobs=args.jobs)
         print(f"wrote {len(rows)} rows to {args.out}")
         return EXIT_OK
 

@@ -43,11 +43,11 @@ def tutte_quantities(g: Graph, r: int, s_set: set[int], t_set: set[int]) -> tupl
     return big_r, big_q
 
 
-def tutte_check_exhaustive(g: Graph, r: int, cap: int = TUTTE_CAP) -> TutteVerdict:
+def tutte_check_exhaustive(g: Graph, r: int) -> TutteVerdict:
     """Exhaustive r-factor existence check over all 3^n partitions."""
     n = g.n
-    if n > cap:
-        raise ValueError(f"n={n} above exhaustive cap {cap}")
+    if n > TUTTE_CAP:
+        raise ValueError(f"n={n} above exhaustive cap {TUTTE_CAP}")
     if r < 1:
         raise ValueError("r must be positive")
     adj_mask = [0] * n

@@ -98,7 +98,6 @@ def _reverify(g0: Graph, cycles: list[list[int]]) -> list[list[int]]:
 
 def run(
     params: Params,
-    mode: str = "report",
     out_path: str | None = None,
     graph_out: str | None = None,
     audit: bool = False,
@@ -136,7 +135,7 @@ def run(
     wall["peel"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    conv = convert_all(tf.factors, g0, s.g2, params, mode=mode, audit=audit)
+    conv = convert_all(tf.factors, g0, s.g2, params, audit=audit)
     wall["convert"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -171,24 +170,22 @@ def run(
     )
 
 
-def _sweep_cell(args) -> tuple[list, str | None]:
+def _sweep_cell(params: Params) -> tuple[list, str | None]:
     """One sweep cell: its CSV row, and the traceback when it raised."""
-    params, mode = args
     try:
-        return run(params, mode=mode).csv_row(), None
+        return run(params).csv_row(), None
     except Exception as exc:  # partial failures recorded per row
         row = [params.n, params.p0, params.eta, params.seed, "error", str(exc)]
         return row + [""] * (len(CSV_HEADER) - len(row)), traceback.format_exc()
 
 
 def sweep(
-    grid: list[Params], seeds_per_cell: int, out_path: str,
-    mode: str = "report", jobs: int = 1,
+    grid: list[Params], seeds_per_cell: int, out_path: str, jobs: int = 1,
 ) -> list[list]:
     if not grid:
         raise ValueError("empty sweep grid")
     cells = [
-        (Params(n=p.n, p0=p.p0, eta=p.eta, seed=p.seed + s), mode)
+        Params(n=p.n, p0=p.p0, eta=p.eta, seed=p.seed + s)
         for p in grid
         for s in range(seeds_per_cell)
     ]
@@ -202,7 +199,7 @@ def sweep(
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
         w.writerows(rows)
-    errors = [(params, tb) for (params, _), (_, tb) in zip(cells, results) if tb]
+    errors = [(params, tb) for params, (_, tb) in zip(cells, results) if tb]
     if errors:
         # the CSV keeps one line per failed cell; the causes go beside it
         with open(out_path + ".errors.txt", "w") as fh:

@@ -6,8 +6,8 @@ a finished cycle or a pending factor) either extend the path into another
 cycle or close it.  The search proposes each move as a transcript record and
 ``apply`` carries it out; conversion and replay both run every record
 through ``apply``, so a transcript replays bit-exactly.  A ledger, derived
-from each step's records, tracks per-step reservoir consumption against the
-rotation budgets when those are defined.
+from each step's records, reports per-step reservoir consumption against the
+rotation budgets when those are defined; the budgets never limit the search.
 """
 from __future__ import annotations
 
@@ -393,10 +393,10 @@ def convert_all(
     params: Params,
     mode: str = "report",
     audit: bool = False,
-    max_states: int = MAX_STATES,
-    max_levels: int = MAX_LEVELS,
 ) -> ConversionResult:
-    if mode not in ("report", "enforce"):
+    """Convert each 2-factor into a Hamilton cycle, in order, then retry the
+    abandoned ones once.  ``mode`` accepts only ``"report"``."""
+    if mode != "report":
         raise ValueError(f"unknown mode {mode!r}")
     n = g0.n
     factor_edges = [cycle_cover_edges(f) for f in factors]
@@ -418,9 +418,6 @@ def convert_all(
     cap = None
     if params.budgets_defined:
         cap = 2 * params.e0 + 2 * params.e1 + 2
-    enforce_levels = max_levels
-    if mode == "enforce" and params.budgets_defined:
-        enforce_levels = max(1, int(2 * params.e0 + 2 * params.e1))
 
     # The audit recomputes the committed set as base ∪ F*.  Within one
     # attempt only F* changes (the finished edges grow at its close, by F*),
@@ -518,9 +515,7 @@ def convert_all(
         while not done:
             step += 1
             steps_here += 1
-            outcome = posa_search(
-                broken, gamma, max_states=max_states, max_levels=enforce_levels
-            )
+            outcome = posa_search(broken, gamma)
             if outcome.kind == "exhausted":
                 gamma.give(fstar)
                 status = "abandoned"

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .graph import Graph, balanced_orientation
 from .matching import hopcroft_karp
+from .sampler import Params
 
 
 @dataclass
@@ -69,14 +70,12 @@ class TwoFactorSet:
         return [len(f) for f in self.factors]
 
 
-def peel_all(h: Graph, r: int | None = None) -> TwoFactorSet:
+def peel_all(h: Graph, r: int) -> TwoFactorSet:
     """Peel an r-regular graph into exactly r/2 edge-disjoint 2-factors."""
     degs = {h.degree(v) for v in range(h.n)}
     if len(degs) != 1:
         raise ValueError(f"host not regular: degrees {sorted(degs)[:5]}")
     deg = degs.pop()
-    if r is None:
-        r = deg
     if r != deg or r % 2 == 1:
         raise ValueError(f"need even regular degree, got r={r}, degree={deg}")
     o = euler_orient(h)
@@ -106,20 +105,17 @@ def peel_all(h: Graph, r: int | None = None) -> TwoFactorSet:
     return tf
 
 
-def cycle_statistics(tf: TwoFactorSet, params=None) -> dict:
+def cycle_statistics(tf: TwoFactorSet, params: Params) -> dict:
     counts = tf.cycle_counts()
     if not counts:
         return {"factors": 0}
     counts_sorted = sorted(counts)
-    report = {
+    return {
         "factors": len(counts),
         "per_factor": counts,
         "min": counts_sorted[0],
         "median": counts_sorted[len(counts) // 2],
         "max": counts_sorted[-1],
+        "k0": params.k0,
+        "fraction_within_k0": sum(1 for c in counts if c <= params.k0) / len(counts),
     }
-    if params is not None:
-        k0 = params.k0
-        report["k0"] = k0
-        report["fraction_within_k0"] = sum(1 for c in counts if c <= k0) / len(counts)
-    return report

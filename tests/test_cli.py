@@ -2,6 +2,7 @@
 serialization formats, and exit codes."""
 import csv
 import json
+import re
 
 import pytest
 
@@ -147,10 +148,10 @@ class TestSweep:
     def test_failed_cell_keeps_its_traceback(self, monkeypatch, tmp_path):
         real = harness.run
 
-        def run_or_raise(params, mode="report"):
+        def run_or_raise(params):
             if params.seed == 1:
                 raise RuntimeError("cell exploded")
-            return real(params, mode=mode)
+            return real(params)
 
         monkeypatch.setattr(harness, "run", run_or_raise)
         out = tmp_path / "sweep.csv"
@@ -453,6 +454,30 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--n", "40", "--p0", "0.9", "--eta", "0.3", "--floor-r", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--n", "40", "--p0", "0.9", "--eta", "0.3", "--mode", "enforce"],
+        ["sweep", "--grid", "[]", "--out", "s.csv", "--mode", "report"],
+    ])
+    def test_run_and_sweep_have_no_mode(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("cmd, options", [
+        ("run", {"-h", "--help", "--n", "--p0", "--eta", "--seed", "--out", "--graph-out",
+                 "--audit"}),
+        ("sweep", {"-h", "--help", "--grid", "--seeds", "--jobs", "--out"}),
+    ])
+    def test_options_are_pinned(self, capsys, cmd, options):
+        # a new option has to be added here too, as a visible test change
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out)) == options
 
     def test_oracle_suite(self, capsys):
         assert main(["oracle"]) == 0

@@ -1,5 +1,6 @@
 """Rotation engine: elementary moves, the search, conversion, and replay."""
 import ast
+import functools
 import hashlib
 import itertools
 import json
@@ -39,6 +40,12 @@ def apply_outcome(broken, outcome):
     for pivot, deleted, added in outcome.rotations:
         apply(broken, TranscriptRecord(step=1, kind="rotate", pivot=pivot,
                                        deleted=deleted, added=added))
+
+
+def limit_search(monkeypatch, **limits):
+    """Make convert_all's searches run with the given ``posa_search``
+    limits; convert_all looks the search up at call time."""
+    monkeypatch.setattr(rotation, "posa_search", functools.partial(posa_search, **limits))
 
 
 def two_triangle_fixture(gamma_edges):
@@ -339,8 +346,9 @@ class TestConvertAll:
         assert any(o["outcome"] == "abandoned" for o in conv.per_factor)
 
     def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            convert_all([], Graph(3), Graph(3), desk_params(), mode="strict")
+        for mode in ("strict", "enforce"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                convert_all([], Graph(3), Graph(3), desk_params(), mode=mode)
 
     def test_pipeline_with_audit(self):
         params = Params(n=90, p0=0.6, eta=0.3, seed=1)
@@ -371,7 +379,7 @@ class TestConvertAll:
         assert done == len(conv.hamilton_cycles)
 
     @pytest.mark.parametrize("audit", [False, True])
-    def test_conversion_and_replay_leave_the_factors_unchanged(self, audit):
+    def test_conversion_and_replay_leave_the_factors_unchanged(self, audit, monkeypatch):
         # break_to_path copies the factor it is given, so neither the
         # conversion nor a replay may change the caller's cycles
         params = Params(n=70, p0=0.6, eta=0.3, seed=2)
@@ -379,33 +387,13 @@ class TestConvertAll:
         f, r = extract_with_retry(s.g1, params.r1)
         factors = peel_all(f, r).factors
         before = json.dumps(factors)
-        conv = convert_all(factors, s.g0, s.g2, params, audit=audit, max_states=5)
+        limit_search(monkeypatch, max_states=5)
+        conv = convert_all(factors, s.g0, s.g2, params, audit=audit)
         assert conv.total_rotations > 0 and conv.hamilton_cycles
         assert json.dumps(factors) == before
         for fi, transcript in conv.transcripts.items():
             replay(factors[fi], transcript, params.n)
         assert json.dumps(factors) == before
-
-    @pytest.mark.parametrize("mode, levels", [("enforce", 10), ("report", 64)])
-    def test_enforce_mode_caps_the_search_depth_by_the_budgets(self, monkeypatch, mode, levels):
-        # with E0 = 2 and E1 = 3, enforce mode searches 2·E0 + 2·E1 = 10
-        # levels deep; report mode keeps the default
-        class _CappedParams:
-            budgets_defined = True
-            e0 = 2.0
-            e1 = 3.0
-
-        seen = []
-
-        def spy(broken, gamma, max_states=2000, max_levels=64):
-            seen.append(max_levels)
-            return posa_search(broken, gamma, max_states, max_levels)
-
-        monkeypatch.setattr(rotation, "posa_search", spy)
-        g0, factors = two_triangle_fixture([(1, 3), (0, 4)])
-        conv = convert_all(factors, g0, Graph(6), _CappedParams(), mode=mode)
-        assert len(conv.hamilton_cycles) == 1
-        assert seen and set(seen) == {levels}
 
     def test_edges_disjoint_across_cycles(self):
         params = Params(n=80, p0=0.7, eta=0.25, seed=3)
@@ -419,20 +407,20 @@ class TestConvertAll:
             assert not (es & used)
             used |= es
 
-    def test_ledger_is_the_net_of_each_steps_records(self):
+    def test_ledger_is_the_net_of_each_steps_records(self, monkeypatch):
         runs = [
             # a small state cap makes this conversion rotate and reopen a close
             (Params(n=81, p0=0.6, eta=0.05, seed=45423), {"max_states": 5}),
             # here factor 3 is abandoned, and its retry finishes it
-            (Params(n=56, p0=0.4, eta=0.5, seed=186597),
-             {"mode": "enforce", "max_states": 2, "max_levels": 1}),
+            (Params(n=56, p0=0.4, eta=0.5, seed=186597), {"max_states": 2, "max_levels": 1}),
         ]
         convs = []
-        for params, kwargs in runs:
+        for params, limits in runs:
             s = split(sample_gnp(params.n, params.p0, params.seed), params)
             f, r = extract_with_retry(s.g1, params.r1)
             tf = peel_all(f, r)
-            convs.append(convert_all(tf.factors, s.g0, s.g2, params, **kwargs))
+            limit_search(monkeypatch, **limits)
+            convs.append(convert_all(tf.factors, s.g0, s.g2, params))
         plain, retried = convs
         records = [rec for fi in sorted(plain.transcripts) for rec in plain.transcripts[fi]]
         assert any(rec.kind == "close" and rec.deleted for rec in records)
@@ -497,7 +485,7 @@ class TestPersistentReservoir:
         conv = convert_all(tf.factors, s.g0, s.g2, params, audit=True)
         assert any("persistent reservoir" in msg for msg in conv.audit_failures)
 
-    def test_retry_skips_a_factor_an_earlier_retry_used(self):
+    def test_retry_skips_a_factor_an_earlier_retry_used(self, monkeypatch):
         # here two factors are abandoned and the first retry finishes with
         # edges of the second; retrying the second would break edge
         # conservation, so it must not be attempted
@@ -505,8 +493,8 @@ class TestPersistentReservoir:
         s = split(sample_gnp(params.n, params.p0, params.seed), params)
         f, r = extract_with_retry(s.g1, params.r1)
         tf = peel_all(f, r)
-        conv = convert_all(tf.factors, s.g0, s.g2, params, mode="enforce", audit=True,
-                           max_states=2, max_levels=1)
+        limit_search(monkeypatch, max_states=2, max_levels=1)
+        conv = convert_all(tf.factors, s.g0, s.g2, params, audit=True)
         assert conv.audit_failures == []
         assert [o["factor"] for o in conv.per_factor if o["pass"] == 2] == [3]
 
@@ -565,14 +553,15 @@ DEADEND_EXTRA = [(0, 2), (2, 6), (2, 14), (6, 7), (6, 10), (6, 14), (7, 9), (7, 
 DEADEND_DIGEST = "da0cda7bc6db81c06b00696be495ff75a17e62dc19f7b88efea95c9a49cffeaf"
 
 
-def test_deadend_after_rotations_pinned():
+def test_deadend_after_rotations_pinned(monkeypatch):
     edges = set(DEADEND_EXTRA)
     for cover in DEADEND_COVERS:
         edges |= cycle_cover_edges(cover)
     g0 = Graph(16, sorted(edges))
     params = Params(n=16, p0=0.3, eta=0.05, seed=0)
+    limit_search(monkeypatch, max_levels=2)
     for audit in (False, True):
-        conv = convert_all(DEADEND_COVERS, g0, Graph(16), params, audit=audit, max_levels=2)
+        conv = convert_all(DEADEND_COVERS, g0, Graph(16), params, audit=audit)
         assert conv.audit_failures == []
         assert [(o["factor"], o["outcome"], o.get("deadend")) for o in conv.per_factor] == [
             (0, "abandoned", True), (1, "hamilton", None)
@@ -598,14 +587,15 @@ def test_deadend_after_rotations_pinned():
     # an edge of factor 1: pending while factor 0 runs, in F* at step 3
     (1, (2, 10), [1, 3]),
 ])
-def test_audit_flags_a_factor_edge_outside_g0(cover, missing, steps):
+def test_audit_flags_a_factor_edge_outside_g0(cover, missing, steps, monkeypatch):
     edges = set(DEADEND_EXTRA)
     for c in DEADEND_COVERS:
         edges |= cycle_cover_edges(c)
     assert missing in cycle_cover_edges(DEADEND_COVERS[cover])
     g0 = Graph(16, sorted(edges - {missing}))
     params = Params(n=16, p0=0.3, eta=0.05, seed=0)
-    conv = convert_all(DEADEND_COVERS, g0, Graph(16), params, audit=True, max_levels=2)
+    limit_search(monkeypatch, max_levels=2)
+    conv = convert_all(DEADEND_COVERS, g0, Graph(16), params, audit=True)
     assert conv.audit_failures == [f"edge conservation broken at step {s}" for s in steps]
 
 
@@ -743,9 +733,9 @@ def pipeline_factors(n, seed, p0=0.6, eta=0.3):
 
 # SHA-256 of every audited conversion's full audit_failures, Hamilton cycles
 # and per-factor outcomes under each reservoir fault, at n=48, p0=0.6,
-# eta=0.3, seeds 0-2, with the default limits in report mode and with
-# max_states=2, max_levels=1 in enforce mode; recorded before the audit
-# stopped rebuilding the committed set at every step.
+# eta=0.3, seeds 0-2, with the default search limits and with
+# max_states=2, max_levels=1; recorded before the audit stopped rebuilding
+# the committed set at every step.
 AUDIT_DIGESTS = {
     "none": "270c9946be5434e7be83c4ef3bb55f7312587dbe9dde92c698040e4988c0be66",
     "give_off": "77950fb38d93736fc617bf2daba77119778e4ce12c4a2282903e89129129a3f2",
@@ -756,7 +746,7 @@ AUDIT_DIGESTS = {
     "give_swap9": "56905d3bf5fe237b7d907752b08e1c9326f180ab7ca2bd11a71374284bfbf2c7",
     "take_swap9": "2b53c55ee44336c8d7d1135809149da3339b40590b6cf3b7a7471e26c23b0fb6",
 }
-AUDIT_LIMITS = [("report", 2000, 64), ("enforce", 2, 1)]
+AUDIT_LIMITS = [(2000, 64), (2, 1)]
 
 
 @pytest.mark.parametrize("fault", sorted(AUDIT_DIGESTS))
@@ -764,11 +754,11 @@ def test_audit_messages_digest_pinned(fault, monkeypatch):
     runs = []
     for seed in range(3):
         params, s, factors = pipeline_factors(48, seed)
-        for mode, max_states, max_levels in AUDIT_LIMITS:
+        for max_states, max_levels in AUDIT_LIMITS:
             for attr, method in reservoir_fault(fault).items():
                 monkeypatch.setattr(GammaView, attr, method)
-            conv = convert_all(factors, s.g0, s.g2, params, mode=mode, audit=True,
-                               max_states=max_states, max_levels=max_levels)
+            limit_search(monkeypatch, max_states=max_states, max_levels=max_levels)
+            conv = convert_all(factors, s.g0, s.g2, params, audit=True)
             monkeypatch.undo()
             runs.append({"audit_failures": conv.audit_failures,
                          "cycles": conv.hamilton_cycles, "per_factor": conv.per_factor})
@@ -783,15 +773,15 @@ def test_audit_messages_digest_pinned(fault, monkeypatch):
 @pytest.mark.parametrize("n,seed,limits", [
     (60, 0, None), (90, 1, None), (120, 2, None),
     # abandons five factors and retries two of them
-    (60, 9, ("enforce", 2, 1)),
+    (60, 9, (2, 1)),
 ])
-def test_audit_only_observes(n, seed, limits):
+def test_audit_only_observes(n, seed, limits, monkeypatch):
     params, s, factors = pipeline_factors(n, seed)
-    mode, max_states, max_levels = limits or ("report", 2000, 64)
+    if limits:
+        max_states, max_levels = limits
+        limit_search(monkeypatch, max_states=max_states, max_levels=max_levels)
     plain, audited = (
-        convert_all(factors, s.g0, s.g2, params, mode=mode, audit=audit,
-                    max_states=max_states, max_levels=max_levels)
-        for audit in (False, True)
+        convert_all(factors, s.g0, s.g2, params, audit=audit) for audit in (False, True)
     )
     assert audited.audit_failures == []
     if limits:

@@ -75,7 +75,7 @@ class TestBipartiteDouble:
 
         monkeypatch.setattr(twofactor, "hopcroft_karp", short)
         with pytest.raises(ValueError, match="no perfect matching"):
-            peel_all(Graph.complete(5))
+            peel_all(Graph.complete(5), 4)
 
     def test_skewed_orientation_trips_the_regularity_check(self, monkeypatch):
         # out-degrees 3, 1, 2, 2, 2 on K5: not a balanced orientation, which
@@ -87,7 +87,7 @@ class TestBipartiteDouble:
 
         monkeypatch.setattr(twofactor, "euler_orient", orient)
         with pytest.raises(AssertionError, match="2-regular before round 0"):
-            peel_all(Graph.complete(5))
+            peel_all(Graph.complete(5), 4)
 
     def test_non_permutation_matching_is_caught(self, monkeypatch):
         # x = 0 swaps its partner for its other head: that head is matched
@@ -99,7 +99,7 @@ class TestBipartiteDouble:
 
         monkeypatch.setattr(twofactor, "hopcroft_karp", doubled)
         with pytest.raises(AssertionError, match=r"round 0 matched \d+ twice"):
-            peel_all(Graph.complete(7))
+            peel_all(Graph.complete(7), 6)
 
 
 class TestMatchingToFactor:
@@ -151,12 +151,12 @@ class TestPeelAll:
         assert [h.adj(v) for v in range(h.n)] == before
 
     def test_rejects_irregular(self):
-        with pytest.raises(ValueError):
-            peel_all(Graph(3, [(0, 1)]))
+        with pytest.raises(ValueError, match="not regular"):
+            peel_all(Graph(3, [(0, 1)]), 2)
 
     def test_rejects_odd_regular(self):
-        with pytest.raises(ValueError):
-            peel_all(Graph.complete(4))
+        with pytest.raises(ValueError, match="even regular degree"):
+            peel_all(Graph.complete(4), 3)
 
     def test_sampled_factor(self):
         params = Params(n=120, p0=0.5, eta=0.3, seed=4)
@@ -171,7 +171,7 @@ class TestCycleStatistics:
         from hamdecomp.twofactor import TwoFactorSet
 
         tf = TwoFactorSet(host=Graph.cycle(6), factors=[[[0, 1, 2, 3, 4, 5]]])
-        stats = cycle_statistics(tf)
+        stats = cycle_statistics(tf, Params(n=6, p0=0.9, eta=0.5))
         assert stats["per_factor"] == [1]
         assert stats["min"] == stats["max"] == 1
 
@@ -180,7 +180,7 @@ class TestCycleStatistics:
         from hamdecomp.twofactor import TwoFactorSet
 
         tf = TwoFactorSet(host=g, factors=[[[0, 1, 2], [3, 4, 5]]])
-        assert cycle_statistics(tf)["max"] == 2
+        assert cycle_statistics(tf, Params(n=6, p0=0.9, eta=0.5))["max"] == 2
 
     def test_k0_fraction(self):
         params = Params(n=100, p0=0.5, eta=0.25)
