@@ -4,14 +4,16 @@ The oracle enumerates all 3^n partitions (S, T, U) and checks the
 deficiency condition R_r(S,T) >= Q_r(S,T) exactly.  Extraction reduces the
 r-factor problem to perfect matching through a slot gadget; a flow-based
 fast path over a balanced orientation handles large even-degree instances
-and falls back to the exact gadget matching when it comes up short.
+and falls back to the exact gadget matching when it comes up short.  A
+flow-route factor carries the orientation its flow selected, so peeling
+orients it without a second Euler pass.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, balanced_orientation
+from .graph import Graph, OrientedGraph, balanced_orientation
 from .matching import is_perfect, max_matching_general
 
 TUTTE_CAP = 12
@@ -252,7 +254,7 @@ def max_flow(head: list[list[int]], to: list[int], cap: list[int], s: int, t: in
                 it[u] += 1
 
 
-def _factor_via_flow(g: Graph, r: int, rotate: int = 0) -> Graph | None:
+def _factor_via_flow(g: Graph, r: int, rotate: int = 0) -> OrientedGraph | None:
     """Even-r factor through a balanced orientation + exact-degree flow.
 
     The network has arcs s -> v and v' -> t of capacity r/2 and one arc
@@ -261,6 +263,10 @@ def _factor_via_flow(g: Graph, r: int, rotate: int = 0) -> Graph | None:
     first blocking flow is one greedy pass: each v in ascending order takes
     its arcs in order while v and the head w' both have capacity left.
     That pass runs here, and ``max_flow`` runs the remaining phases.
+
+    At flow n*r/2 every vertex has r/2 selected out-arcs and r/2 selected
+    in-arcs, so the factor comes back as an ``OrientedGraph`` whose ``out``
+    lists are the selected arcs: the balanced orientation peeling needs.
     """
     assert r % 2 == 0
     arcs = balanced_orientation(g, rotate)
@@ -298,9 +304,14 @@ def _factor_via_flow(g: Graph, r: int, rotate: int = 0) -> Graph | None:
         cap[4 * w + 2], cap[4 * w + 3] = in_room[w], half - in_room[w]
     if pushed + max_flow(head, to, cap, s, t) != n * half:
         return None
-    return Graph.from_pairs(n, [
-        (u, w) if u < w else (w, u) for k, (u, w) in enumerate(arcs) if not cap[m + 2 * k]
-    ])
+    out: list[list[int]] = [[] for _ in range(n)]
+    for k, (u, w) in enumerate(arcs):
+        if not cap[m + 2 * k]:
+            out[u].append(w)
+    del arcs, head, to, cap  # the network goes before the factor is built
+    for heads in out:
+        heads.sort()
+    return OrientedGraph.from_out(out)
 
 
 # -- extraction ---------------------------------------------------------------

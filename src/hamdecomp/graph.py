@@ -163,6 +163,23 @@ class Graph:
         return cls.from_pairs(*read_edge_list(text))
 
 
+class OrientedGraph(Graph):
+    """A Graph that also stores an orientation of its edges: ``out[v]``
+    lists the heads of the arcs leaving v, ascending.  Treat both the
+    neighbour lists and ``out`` as read-only."""
+
+    __slots__ = ("out",)
+
+    @classmethod
+    def from_out(cls, out: list[list[int]]) -> "OrientedGraph":
+        """The graph whose edges are the arcs v -> w, w in ``out[v]``; no
+        edge may appear as two arcs.  ``out`` is kept, not copied."""
+        n = len(out)
+        g = cls.from_pairs(n, ((v, w) if v < w else (w, v) for v in range(n) for w in out[v]))
+        g.out = out
+        return g
+
+
 def read_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:
     """The vertex count n and the (min, max) edge set of the text that
     ``Graph.to_text`` writes; blank lines and lines starting with "#" are

@@ -6,16 +6,16 @@ from collections import deque
 from itertools import combinations
 
 
-def max_matching_general(adj: list[list[int]], init: list[int] | None = None) -> list[int]:
+def max_matching_general(adj: list[list[int]], init: list[int]) -> list[int]:
     """Maximum cardinality matching via augmenting paths with blossom
     contraction.  Returns match[v] = partner or -1.
 
     O(V*E) per augmentation.  The search starts from a copy of the
-    caller's initial matching ``init``, which keeps the number of
-    augmentations small, or from the empty matching when there is none.
+    caller's initial matching ``init`` (``[-1] * len(adj)`` for the empty
+    one); a large one keeps the number of augmentations small.
     """
     n = len(adj)
-    match = list(init) if init is not None else [-1] * n
+    match = list(init)
     p = [-1] * n      # alternating-tree parents
     base = [0] * n    # blossom base of each vertex
     q: deque[int] = deque()

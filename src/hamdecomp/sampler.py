@@ -27,8 +27,8 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 def _uniforms(rng: np.random.Generator):
     """The doubles of ``rng.random()`` called once per item, drawn 4096 at
     a time (an array draw returns the same doubles as that many scalar
-    draws).  Each stream belongs to one sample or split, so the unused end
-    of the last chunk changes nothing."""
+    draws).  Each stream belongs to one split, so the unused end of the
+    last chunk changes nothing."""
     while True:
         yield from rng.random(4096).tolist()
 
@@ -123,6 +123,38 @@ class SplitSample:
     params: Params
 
 
+def geometric_skips(x: np.ndarray, logq: float, cap: int) -> np.ndarray:
+    """The skips 1 + floor(log(1 - x) / logq) of the doubles ``x``, equal
+    to the scalar ``1 + int(math.log(1.0 - x) / logq)`` of each up to
+    ``cap`` + 1.  numpy's log may differ from ``math.log`` in the last bit,
+    which moves the floor only for a quotient next to a whole number: those
+    are recomputed with ``math.log``."""
+    q = np.log(1.0 - x) / logq
+    for i in np.flatnonzero(np.abs(q - np.rint(q)) < 1e-9 * np.maximum(q, 1.0)).tolist():
+        q[i] = math.log(1.0 - float(x[i])) / logq
+    return 1 + np.floor(np.minimum(q, cap)).astype(np.int64)
+
+
+def _gnp_pairs(n: int, p: float, seed: int):
+    """The pairs (u, v), u < v, of G(n,p) in ascending order, by geometric
+    skipping over the C(n,2) pairs, 4096 skips at a time: linear pair
+    indices are running sums of the skips from the virtual start -1, and
+    a pair's row u is found among the row offsets.  A skip past the last
+    pair ends the sample, so skips are capped there."""
+    logq = math.log1p(-p)
+    total = n * (n - 1) // 2
+    rows = np.arange(n - 1, dtype=np.int64)
+    offsets = rows * (2 * n - rows - 1) // 2  # index of the pair (u, u + 1)
+    rng = _rng(seed, STREAM_SAMPLE)
+    last = -1
+    while last < total:
+        idx = last + np.cumsum(geometric_skips(rng.random(4096), logq, total))
+        last = int(idx[-1])
+        idx = idx[: np.searchsorted(idx, total)]
+        u = np.searchsorted(offsets, idx, side="right") - 1
+        yield from zip(u.tolist(), (idx - offsets[u] + u + 1).tolist())
+
+
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Sample G(n,p) by geometric skipping over the C(n,2) pair sequence."""
     if not (0.0 <= p <= 1.0):
@@ -131,26 +163,7 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
         return Graph(n)
     if p == 1.0:
         return Graph.complete(n)
-    logq = math.log1p(-p)
-    pairs: list[tuple[int, int]] = []
-    # cursor: last visited pair is (u, v); (0, 0) is the virtual start
-    u, v = 0, 0
-    for x in _uniforms(_rng(seed, STREAM_SAMPLE)):
-        # geometric skip: number of pairs to jump ahead (>= 1)
-        skip = 1 + int(math.log(1.0 - x) / logq)
-        while skip > 0 and u < n - 1:
-            row_left = n - 1 - v  # pairs remaining in row u past column v
-            if skip <= row_left:
-                v += skip
-                skip = 0
-            else:
-                skip -= row_left
-                u += 1
-                v = u  # virtual position before (u, u+1)
-        if u >= n - 1:
-            break
-        pairs.append((u, v))
-    return Graph.from_pairs(n, pairs)
+    return Graph.from_pairs(n, _gnp_pairs(n, p, seed))
 
 
 def split(g0: Graph, params: Params) -> SplitSample:

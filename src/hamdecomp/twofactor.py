@@ -1,6 +1,7 @@
 """Decompose an even-regular graph into edge-disjoint 2-factors.
 
-Euler-orient the host so in-degree equals out-degree everywhere, form the
+Orient the host so in-degree equals out-degree everywhere (the orientation
+a flow-route factor already carries, else an Euler orientation), form the
 bipartite double (one arc = one bipartite edge), and peel perfect matchings;
 each matching is a permutation without fixed points or 2-cycles, i.e. a
 spanning cycle cover of the host.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, balanced_orientation
+from .graph import Graph, OrientedGraph, balanced_orientation
 from .matching import hopcroft_karp
 from .sampler import Params
 
@@ -29,7 +30,11 @@ class Orientation:
 
 def euler_orient(h: Graph) -> Orientation:
     """Orient an even-degree graph so in-degree equals out-degree at every
-    vertex: the balanced orientation extraction uses, out-lists sorted."""
+    vertex, out-lists sorted.  An ``OrientedGraph`` (a flow-route factor)
+    gives new copies of its stored out-lists; any other graph is oriented
+    by Hierholzer, as ``balanced_orientation`` does for extraction."""
+    if isinstance(h, OrientedGraph):
+        return Orientation(host=h, out=[list(heads) for heads in h.out])
     odd = [v for v in range(h.n) if h.degree(v) % 2 == 1]
     if odd:
         raise ValueError(f"odd-degree vertices: {odd[:5]}")

@@ -89,7 +89,7 @@ class TestGadget:
     def test_k4_r3_forces_all_edges(self):
         g = Graph.complete(4)
         gadget = build_gadget(g, 3)
-        match = max_matching_general(gadget.adj)
+        match = max_matching_general(gadget.adj, [-1] * gadget.n_nodes)
         assert all(m != -1 for m in match)
         assert gadget.matching_to_factor(match) == g
 

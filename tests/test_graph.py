@@ -410,7 +410,7 @@ class TestSortedAdjacency:
             if r < 1:
                 continue
             gadget = build_gadget(g, r)
-            match = max_matching_general(gadget.adj)
+            match = max_matching_general(gadget.adj, [-1] * gadget.n_nodes)
             if not is_perfect(match):
                 continue
             f = gadget.matching_to_factor(match)
@@ -620,12 +620,15 @@ def test_g2_consumed_is_the_set_intersection_count():
     assert max(consumed) > 0
 
 
-@pytest.mark.parametrize("seed,digest", [
-    (0, "9a95833ca2101a4ec13ee5c772b50a173f7329e4709dbfe910fd9511e38afef6"),
-    (3, "7f0b77bb16ac13a666a42769d61463d4fd6b4ab9c7042e2084defefea5c6f000"),
-])
-def test_run_cycles_pinned_at_n1000(seed, digest):
-    # recorded on set-backed neighbour storage: the cycles do not depend
-    # on how Graph stores its neighbours
+# SHA-256 of the Hamilton cycles of harness.run at n=1000, p0=0.1,
+# eta=0.25, recorded when peeling began to use the flow's own orientation
+RUN_DIGESTS = {
+    0: "f6d63db7575917372db6a9c5beab81bcee0016fa331cec143c6158bf9a447817",
+    3: "49fc7a4b39f95ea04502950bfa9087f1f32ea7bf41ceeab4adc8939800324d4d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RUN_DIGESTS))
+def test_run_cycles_pinned_at_n1000(seed):
     cycles = harness.run(Params(1000, 0.1, 0.25, seed)).hamilton_cycles
-    assert hashlib.sha256(json.dumps(cycles).encode()).hexdigest() == digest
+    assert hashlib.sha256(json.dumps(cycles).encode()).hexdigest() == RUN_DIGESTS[seed]

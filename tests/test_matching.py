@@ -33,13 +33,13 @@ def _check_valid(adj, match):
 
 class TestGeneralMatching:
     def test_c6_perfect(self):
-        match = max_matching_general(_adj(Graph.cycle(6)))
+        match = max_matching_general(_adj(Graph.cycle(6)), [-1] * 6)
         assert is_perfect(match)
         assert matching_size(match) == 3
 
     def test_star_not_perfect(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])  # K_{1,3}
-        match = max_matching_general(_adj(g))
+        match = max_matching_general(_adj(g), [-1] * g.n)
         assert matching_size(match) == 1
         assert not is_perfect(match)
 
@@ -48,14 +48,14 @@ class TestGeneralMatching:
         spokes = [(i, i + 5) for i in range(5)]
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         g = Graph(10, outer + spokes + inner)
-        match = max_matching_general(_adj(g))
+        match = max_matching_general(_adj(g), [-1] * g.n)
         assert is_perfect(match)
         _check_valid(_adj(g), match)
 
     def test_odd_blossom(self):
         # triangle with a pendant: maximum matching has size 2
         g = Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-        match = max_matching_general(_adj(g))
+        match = max_matching_general(_adj(g), [-1] * g.n)
         assert matching_size(match) == 2
 
     def test_seeded_init_respected(self):
@@ -75,7 +75,7 @@ class TestGeneralMatching:
                 if rnd.random() < 0.45:
                     g.add_edge(u, v)
         adj = _adj(g)
-        match = max_matching_general(adj)
+        match = max_matching_general(adj, [-1] * n)
         _check_valid(adj, match)
         assert matching_size(match) == brute_max_matching_size(adj)
 

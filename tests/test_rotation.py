@@ -410,9 +410,9 @@ class TestConvertAll:
     def test_ledger_is_the_net_of_each_steps_records(self, monkeypatch):
         runs = [
             # a small state cap makes this conversion rotate and reopen a close
-            (Params(n=81, p0=0.6, eta=0.05, seed=45423), {"max_states": 5}),
-            # here factor 3 is abandoned, and its retry finishes it
-            (Params(n=56, p0=0.4, eta=0.5, seed=186597), {"max_states": 2, "max_levels": 1}),
+            (Params(n=81, p0=0.6, eta=0.05, seed=15), {"max_states": 5}),
+            # here factor 1 is abandoned, and its retry finishes it
+            (Params(n=56, p0=0.4, eta=0.5, seed=2), {"max_states": 2, "max_levels": 1}),
         ]
         convs = []
         for params, limits in runs:
@@ -426,9 +426,11 @@ class TestConvertAll:
         assert any(rec.kind == "close" and rec.deleted for rec in records)
         assert plain.total_rotations > 0
         assert all(o["pass"] == 1 for o in plain.per_factor) and not plain.earlier_transcripts
-        assert [o["factor"] for o in retried.per_factor if o["pass"] == 2] == [3]
-        assert list(retried.earlier_transcripts) == [(3, 1)]
-        first_attempt = {rec.step for rec in retried.earlier_transcripts[3, 1]}
+        assert [(o["factor"], o["outcome"]) for o in retried.per_factor if o["pass"] == 2] == [
+            (1, "hamilton")
+        ]
+        assert list(retried.earlier_transcripts) == [(1, 1)]
+        first_attempt = {rec.step for rec in retried.earlier_transcripts[1, 1]}
         assert any(row.step in first_attempt for row in retried.ledger)
         for conv in convs:
             for row in conv.ledger:
@@ -486,26 +488,31 @@ class TestPersistentReservoir:
         assert any("persistent reservoir" in msg for msg in conv.audit_failures)
 
     def test_retry_skips_a_factor_an_earlier_retry_used(self, monkeypatch):
-        # here two factors are abandoned and the first retry finishes with
-        # edges of the second; retrying the second would break edge
-        # conservation, so it must not be attempted
-        params = Params(n=56, p0=0.4, eta=0.5, seed=186597)
+        # here factors 1 and 3 are abandoned and the retry of 1 finishes
+        # with an edge of 3 that no first-pass cycle took; retrying 3 would
+        # break edge conservation, so it must not be attempted
+        params = Params(n=56, p0=0.4, eta=0.5, seed=2)
         s = split(sample_gnp(params.n, params.p0, params.seed), params)
         f, r = extract_with_retry(s.g1, params.r1)
         tf = peel_all(f, r)
         limit_search(monkeypatch, max_states=2, max_levels=1)
         conv = convert_all(tf.factors, s.g0, s.g2, params, audit=True)
         assert conv.audit_failures == []
-        assert [o["factor"] for o in conv.per_factor if o["pass"] == 2] == [3]
+        assert [(o["factor"], o["outcome"]) for o in conv.per_factor if o["outcome"] != "hamilton"
+                or o["pass"] == 2] == [(1, "abandoned"), (3, "abandoned"), (1, "hamilton")]
+        # the retry finishes last, so its cycle is the last one
+        third = cycle_cover_edges(tf.factors[3])
+        assert [len(cycle_cover_edges([cyc]) & third) for cyc in conv.hamilton_cycles] == [0] * (
+            len(conv.hamilton_cycles) - 1) + [1]
 
 
 # SHA-256 of the Hamilton cycles and transcripts of convert_all at n=120,
-# p0=0.5, eta=0.05, recorded before the rotation search and the reservoir
-# became incremental; seeds 4 and 5 reach the re-anchor at the root.
+# p0=0.5, eta=0.05, re-recorded when peeling began to use the flow's own
+# orientation; seeds 4 and 5 reach the re-anchor at the root.
 CONVERSION_DIGESTS = {
-    3: "6c3c876fcefe061ae3b2dab87848634e04acae58e48542d4f2055eae89e449ae",
-    4: "9c5a479e3d440a0ad486ecac38fe0e1e6c262281d44a01f94320fa6dc03a50b3",
-    5: "e67fcbce52abede52ef290a0f1d4e5784cd0d6e3ab45af8fcede365bf495320d",
+    3: "f170c44ab9ad9447f258e71bedee16a3f9be24e200a63449008113d32732e283",
+    4: "2774b2beb2a7c4cf29aeb0c2a2bb9cef454137a742b1c546d0f05f099797f9fd",
+    5: "811e470829840f22469aa4303531d50d48a455c222dad588684bd8b87cc965de",
 }
 
 
@@ -601,11 +608,9 @@ def test_audit_flags_a_factor_edge_outside_g0(cover, missing, steps, monkeypatch
 
 # The audit's verdicts with the persistent reservoir broken on purpose, at
 # n=60, p0=0.6, eta=0.3: for each run, the steps at which each of the three
-# original audit checks reported, recorded before the audit was rewritten to
-# build one committed set from scratch per step.  The give_drop7 fault drops
-# every 7th ``give`` call, so its rows pin the number of those calls too;
-# its rows for seeds 1-3 were re-recorded when each applied record began to
-# give back its deleted edge itself.
+# original audit checks reported, re-recorded when peeling began to use the
+# flow's own orientation.  The give_drop7 fault drops every 7th ``give``
+# call, so its rows pin the number of those calls too.
 AUDIT_KINDS = {
     "persistent reservoir differs": "drift",
     "untraceable reservoir consumption": "consumption",
@@ -613,21 +618,22 @@ AUDIT_KINDS = {
 }
 AUDIT_VERDICTS = {
     (0, "none"): {},
-    (0, "give_off"): {"drift": "1-33,35,37-38"},
-    (0, "take_off"): {"drift": "1-39", "consumption": "2-39"},
-    (0, "give_drop7"): {"drift": "6-39"},
+    (0, "give_off"): {"drift": "1-30,32"},
+    (0, "take_off"): {"drift": "1-34", "consumption": "2-34"},
+    (0, "give_drop7"): {"drift": "5-34"},
     (1, "none"): {},
-    (1, "give_off"): {"drift": "1-40"},
-    (1, "take_off"): {"drift": "1-40", "consumption": "2-40", "conservation": "13,20,34"},
-    (1, "give_drop7"): {"drift": "4-40"},
+    (1, "give_off"): {"drift": "1-42"},
+    (1, "take_off"): {"drift": "1-42", "consumption": "2-42", "conservation": "15-17,29-32"},
+    (1, "give_drop7"): {"drift": "6-42"},
     (2, "none"): {},
-    (2, "give_off"): {"drift": "1-31"},
-    (2, "take_off"): {"drift": "1-31", "consumption": "2-31", "conservation": "11-14"},
-    (2, "give_drop7"): {"drift": "4-31"},
+    (2, "give_off"): {"drift": "1-27"},
+    (2, "take_off"): {"drift": "1-27", "consumption": "2-27"},
+    (2, "give_drop7"): {"drift": "5-27"},
     (3, "none"): {},
-    (3, "give_off"): {"drift": "1-43"},
-    (3, "take_off"): {"drift": "1-43", "consumption": "2-43", "conservation": "32"},
-    (3, "give_drop7"): {"drift": "5-43"},
+    (3, "give_off"): {"drift": "1-36"},
+    (3, "take_off"): {"drift": "1-36", "consumption": "2-36",
+                      "conservation": "11-13,16-17,20,26"},
+    (3, "give_drop7"): {"drift": "5-36"},
 }
 
 
@@ -717,7 +723,7 @@ def test_audit_traces_returned_edges(monkeypatch):
     conv = convert_all(tf.factors, s.g0, s.g2, params, audit=True)
     returns = [msg for msg in conv.audit_failures if "untraceable reservoir return" in msg]
     steps = [int(re.search(r"step (\d+)", msg).group(1)) for msg in returns]
-    assert steps == expand_steps("1-33,35,37-38")
+    assert steps == expand_steps("1-30,32")
     for msg in returns:
         edges = [tuple(e) for e in ast.literal_eval(msg[msg.index("["):])]
         assert edges and edges == sorted(edges)
@@ -734,17 +740,17 @@ def pipeline_factors(n, seed, p0=0.6, eta=0.3):
 # SHA-256 of every audited conversion's full audit_failures, Hamilton cycles
 # and per-factor outcomes under each reservoir fault, at n=48, p0=0.6,
 # eta=0.3, seeds 0-2, with the default search limits and with
-# max_states=2, max_levels=1; recorded before the audit stopped rebuilding
-# the committed set at every step.
+# max_states=2, max_levels=1; re-recorded when peeling began to use the
+# flow's own orientation.
 AUDIT_DIGESTS = {
-    "none": "270c9946be5434e7be83c4ef3bb55f7312587dbe9dde92c698040e4988c0be66",
-    "give_off": "77950fb38d93736fc617bf2daba77119778e4ce12c4a2282903e89129129a3f2",
-    "take_off": "6b08e83470dd7ae60a0283424c253bf6629c4b5046bc1c3a3c42656081b467a4",
-    "give_drop7": "002b9b2d486bbbe9e82f82bb666fc5485f8608bfd5216c509cfceba39005bc32",
-    "take_drop5": "8b6394736f99847be0ffab58252e86b3d3ccd62d860820e5c5ab8831ce580d07",
-    "take_frees9": "83c770d412e91dd24043d026cb00b4ca75891572e4e90b806fb9b3cfdd5ece16",
-    "give_swap9": "56905d3bf5fe237b7d907752b08e1c9326f180ab7ca2bd11a71374284bfbf2c7",
-    "take_swap9": "2b53c55ee44336c8d7d1135809149da3339b40590b6cf3b7a7471e26c23b0fb6",
+    "none": "d34b91a5375d091d6225bae1a6ea51af71b8d60ec30cf18445227f24d862d649",
+    "give_off": "d9c3c3ec2dce22642e5299a28bbe0d16881c05df8802340f9827e544fef235a8",
+    "take_off": "92b3b63573e30412b64ef3a59876fb986079213c95526a64da2d3c8d74e6672d",
+    "give_drop7": "627da26db2545b1175444d3cd6175f594dbaa6dcba2c1ad5bae34d789b343486",
+    "take_drop5": "cc8941a241e470a81c4d5923abb2e02302081e846b677cbf60960788711858cb",
+    "take_frees9": "9e09b0d0fc5c8d389dd424d7953bac9e658ae39f1f656a12a9c9ee57f6a19009",
+    "give_swap9": "0f31bb4d0a457c7aee99a39676f48e7f346f2b0b9098b7da70aae5ce916a86cd",
+    "take_swap9": "88e3bc2d4c5c134f31546d0601960418261328d4482b352b22f6f03471222c67",
 }
 AUDIT_LIMITS = [(2000, 64), (2, 1)]
 

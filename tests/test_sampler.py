@@ -14,6 +14,7 @@ from hamdecomp.sampler import (
     Params,
     degree_diagnostics,
     deviation_spotcheck,
+    geometric_skips,
     sample_gnp,
     split,
 )
@@ -240,6 +241,7 @@ def same_graph(a, b):
 
 @pytest.mark.parametrize("n,p", [
     (2, 0.5), (3, 0.999), (17, 0.3), (90, 0.05), (150, 0.6), (300, 0.999), (1200, 1e-4),
+    (1000, 0.001), (1000, 0.01), (1000, 0.1), (1000, 1 / 3),
 ])
 def test_batched_draws_match_scalar_draws(n, p):
     # the larger cases draw past the first chunk of doubles
@@ -251,3 +253,25 @@ def test_batched_draws_match_scalar_draws(n, p):
             s = split(g0, params)
             g1, g2 = scalar_split(g0, params)
             assert same_graph(s.g1, g1) and same_graph(s.g2, g2)
+
+
+@pytest.mark.parametrize("p", [0.001, 0.01, 0.1, 1 / 3, 0.5, 0.9])
+def test_chunked_skips_match_scalar_skips_next_to_whole_quotients(p):
+    # x = 1 - exp(k * log(1 - p)) puts log(1 - x) / log(1 - p) next to the
+    # whole number k, where a last-bit difference between numpy's log and
+    # math.log could move the floor; the doubles around each x are fed too
+    logq = math.log1p(-p)
+    x = 1.0 - np.exp(np.arange(1, 3000) * logq)
+    x = x[x < 1.0]
+    for step in (-2, -1, 1, 2):
+        x = np.concatenate([x, x + step * np.spacing(x)])
+    x = x[(0.0 <= x) & (x < 1.0)]
+    q = np.log(1.0 - x) / logq
+    assert np.sum(np.abs(q - np.rint(q)) < 1e-9) > len(x) // 10
+    scalar = [1 + int(math.log(1.0 - xi) / logq) for xi in x.tolist()]
+    assert geometric_skips(x, logq, 2**40).tolist() == scalar
+
+
+def test_skips_are_capped():
+    logq = math.log1p(-1e-300)
+    assert geometric_skips(np.array([0.0, 0.5, 1 - 2**-53]), logq, 10).tolist() == [1, 11, 11]

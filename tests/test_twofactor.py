@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from hamdecomp.factors import extract_with_retry
-from hamdecomp.graph import Graph, cycle_cover_edges
+from hamdecomp.factors import extract_r_factor, extract_with_retry
+from hamdecomp.graph import Graph, OrientedGraph, balanced_orientation, cycle_cover_edges
 from hamdecomp.sampler import Params, sample_gnp, split
 from hamdecomp import twofactor
 from hamdecomp.matching import hopcroft_karp
@@ -166,6 +166,70 @@ class TestPeelAll:
         _assert_exact_peel(f, r)
 
 
+def sampled_factor(n, p0, seed):
+    """(factor, r) extracted from one sampled G1 at eta = 0.25."""
+    params = Params(n=n, p0=p0, eta=0.25, seed=seed)
+    s = split(sample_gnp(params.n, params.p0, params.seed), params)
+    return extract_with_retry(s.g1, params.r1)
+
+
+def count_hierholzer(monkeypatch):
+    """Count the balanced_orientation calls euler_orient makes."""
+    calls = []
+
+    def spy(g, rotate=0):
+        calls.append(g)
+        return balanced_orientation(g, rotate)
+
+    monkeypatch.setattr(twofactor, "balanced_orientation", spy)
+    return calls
+
+
+class TestOrientOnce:
+    @pytest.mark.parametrize("n,p0,seed", [(60, 0.5, 0), (120, 0.3, 1), (300, 1 / 3, 2)])
+    def test_flow_factor_stores_a_balanced_orientation(self, n, p0, seed):
+        f, r = sampled_factor(n, p0, seed)
+        assert isinstance(f, OrientedGraph) and r % 2 == 0
+        assert all(heads == sorted(heads) for heads in f.out)
+        ind = [0] * n
+        for heads in f.out:
+            for w in heads:
+                ind[w] += 1
+        assert all(len(heads) == r // 2 for heads in f.out) and ind == [r // 2] * n
+        arcs = [(v, w) if v < w else (w, v) for v in range(n) for w in f.out[v]]
+        assert len(arcs) == len(set(arcs)) and set(arcs) == f.edges
+
+    def test_flow_factor_is_peeled_without_hierholzer(self, monkeypatch):
+        f, r = sampled_factor(120, 0.3, 1)
+        calls = count_hierholzer(monkeypatch)
+        o = euler_orient(f)
+        assert o.out == f.out and all(a is not b for a, b in zip(o.out, f.out))
+        _assert_exact_peel(f, r)
+        assert calls == []
+
+    def test_peeling_twice_gives_equal_results(self):
+        f, r = sampled_factor(120, 0.3, 1)
+        adj, out = [list(f.adj(v)) for v in range(f.n)], [list(heads) for heads in f.out]
+        first, second = peel_all(f, r), peel_all(f, r)
+        assert first.factors == second.factors
+        assert [f.adj(v) for v in range(f.n)] == adj and f.out == out
+
+    @pytest.mark.parametrize("n,r", [(30, 4), (60, 3)])
+    def test_gadget_factor_is_peeled_through_hierholzer(self, n, r, monkeypatch):
+        # n < 40 or odd r takes the gadget route, which stores no orientation
+        g = sample_gnp(n, 0.5, 7)
+        f = extract_r_factor(g, r)
+        assert f is not None and not isinstance(f, OrientedGraph)
+        calls = count_hierholzer(monkeypatch)
+        if r % 2:
+            with pytest.raises(ValueError, match="odd-degree"):
+                euler_orient(f)
+            assert calls == []
+        else:
+            _assert_exact_peel(f, r)
+            assert calls == [f]
+
+
 class TestCycleStatistics:
     def test_single_hamilton_factor(self):
         from hamdecomp.twofactor import TwoFactorSet
@@ -192,12 +256,12 @@ class TestCycleStatistics:
 
 
 # SHA-256 of r, the extracted factor's sorted edges and the peeled 2-factors
-# at n=600, p0=1/6, eta=0.25, recorded before the flow's first phase became
-# one greedy pass and before the Euler circuits keyed edges by integers.
+# at n=600, p0=1/6, eta=0.25, re-recorded when peeling began to use the
+# flow's own orientation.
 FRONT_DIGESTS = {
-    0: "6eb34e7e3d76289dd05f3eee492d5c6fa9c1f64ddbcf2828b57d839819bfc741",
-    1: "3d79061d31f73cb2b86832e853b063647ab2020d8068da96b0b5ecde12a25691",
-    2: "bb2ca796fb65339819dc9cb72bbd06491e863508bcee017a445bdf024eb42afc",
+    0: "b56f4933b624bf71883ba503965e53de353635f6ead09401af303eec1d8d9ab2",
+    1: "febc7e3dfb76dd0532934922b1aaa51212094b6172ba860489917d95f1ea67d2",
+    2: "ab28a7f614f30cfb1960d767b62eacd67bda04bdc5728a28009003212af0acfc",
 }
 
 
