@@ -2,19 +2,18 @@
 
 The oracle enumerates all 3^n partitions (S, T, U) and checks the
 deficiency condition R_r(S,T) >= Q_r(S,T) exactly.  Extraction reduces the
-r-factor problem to perfect matching through a slot gadget; a flow-based
-fast path over a balanced orientation handles large even-degree instances
-and falls back to the exact gadget matching when it comes up short.  A
-flow-route factor carries the orientation its flow selected, so peeling
-orients it without a second Euler pass.
+r-factor problem to perfect matching through a slot gadget; a flow fast
+path, a bipartite b-matching over a balanced orientation, handles large
+even-degree instances and falls back to the exact gadget matching when it
+comes up short.  A flow-route factor carries the orientation its
+b-matching selected, so peeling orients it without a second Euler pass.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import Graph, OrientedGraph, balanced_orientation
-from .matching import is_perfect, max_matching_general
+from .matching import bipartite_b_matching, is_perfect, max_matching_general
 
 TUTTE_CAP = 12
 FLOW_FASTPATH_MIN_N = 40
@@ -194,124 +193,28 @@ def _seed_matching(gadget: GadgetGraph) -> list[int]:
     return match
 
 
-# -- Dinic max-flow fast path over a balanced orientation ---------------------
-
-
-def max_flow(head: list[list[int]], to: list[int], cap: list[int], s: int, t: int) -> int:
-    """Dinic's algorithm on a residual network: ``head[u]`` lists the ids of
-    the arcs leaving u, arc i runs to ``to[i]`` with residual capacity
-    ``cap[i]``, and arc i ^ 1 is its reverse.  ``cap`` is updated in place.
-
-    Each blocking flow is one depth-first walk with current-arc pointers
-    ``it``, kept on an explicit stack of arcs.  A dead end advances its
-    parent's pointer.  After a push the walk retreats to the tail of the
-    first arc the push saturated: a restart at s would follow the same
-    pointers down the same unsaturated prefix, so the paths and their order
-    are those of a restart.
-    """
-    n = len(head)
-    flow = 0
-    while True:
-        level = [-1] * n
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for i in head[u]:
-                if cap[i] > 0 and level[to[i]] == -1:
-                    level[to[i]] = level[u] + 1
-                    q.append(to[i])
-        if level[t] == -1:
-            return flow
-        it = [0] * n
-        path: list[int] = []
-        u = s
-        while True:
-            if u == t:
-                caps = [cap[i] for i in path]
-                pushed = min(caps)
-                for i in path:
-                    cap[i] -= pushed
-                    cap[i ^ 1] += pushed
-                flow += pushed
-                first = caps.index(pushed)
-                u = to[path[first] ^ 1]
-                del path[first:]
-                continue
-            arcs, nxt = head[u], level[u] + 1
-            for k in range(it[u], len(arcs)):
-                i = arcs[k]
-                if cap[i] > 0 and level[to[i]] == nxt:
-                    it[u] = k
-                    path.append(i)
-                    u = to[i]
-                    break
-            else:
-                it[u] = len(arcs)
-                if not path:
-                    break
-                u = to[path.pop() ^ 1]
-                it[u] += 1
+# -- b-matching fast path over a balanced orientation ------------------------
 
 
 def _factor_via_flow(g: Graph, r: int, rotate: int = 0) -> OrientedGraph | None:
-    """Even-r factor through a balanced orientation + exact-degree flow.
+    """Even-r factor through a balanced orientation + a bipartite b-matching.
 
-    The network has arcs s -> v and v' -> t of capacity r/2 and one arc
-    u -> w' of capacity 1 per arc u -> w of the orientation; a factor is a
-    flow of n*r/2.  Its first level graph is s -> V -> V' -> t, so Dinic's
-    first blocking flow is one greedy pass: each v in ascending order takes
-    its arcs in order while v and the head w' both have capacity left.
-    That pass runs here, and ``max_flow`` runs the remaining phases.
-
-    At flow n*r/2 every vertex has r/2 selected out-arcs and r/2 selected
-    in-arcs, so the factor comes back as an ``OrientedGraph`` whose ``out``
-    lists are the selected arcs: the balanced orientation peeling needs.
+    An arc u -> w joins u on one side to w on the other; a factor is a
+    b-matching, b = r/2, of size n*r/2, and ``bipartite_b_matching`` finds
+    a maximum one, so None means this orientation carries no factor.  The
+    selected arcs, r/2 out and r/2 in at every vertex, come back as the
+    ``OrientedGraph``'s ``out`` lists: the balanced orientation peeling needs.
     """
     assert r % 2 == 0
-    arcs = balanced_orientation(g, rotate)
-    n = g.n
-    half = r // 2
-    s, t = 2 * n, 2 * n + 1
-    # arc ids: s -> v, v -> s, v' -> t, t -> v' are 4v .. 4v+3, and the
-    # k-th orientation arc u -> w' and its reverse are m + 2k and m + 2k + 1
-    m = 4 * n
-    to = [x for v in range(n) for x in (v, s, t, n + v)]
-    head = [[4 * v + 1] for v in range(n)] + [[4 * v + 2] for v in range(n)]
-    head.append(list(range(0, m, 4)))
-    head.append(list(range(3, m, 4)))
-    for i, (u, w) in enumerate(arcs, start=m // 2):
-        to += (n + w, u)
-        head[u].append(2 * i)
-        head[n + w].append(2 * i + 1)
-    cap = [half, 0, half, 0] * n + [1, 0] * len(arcs)
-    # Dinic's first phase; head[v][0] is the reverse arc v -> s
-    in_room = [half] * n
-    pushed = 0
-    for v in range(n):
-        room = half
-        for i in head[v][1:]:
-            w = to[i] - n
-            if in_room[w]:
-                in_room[w] -= 1
-                cap[i], cap[i + 1] = 0, 1
-                room -= 1
-                if not room:
-                    break
-        cap[4 * v], cap[4 * v + 1] = room, half - room
-        pushed += half - room
-    for w in range(n):
-        cap[4 * w + 2], cap[4 * w + 3] = in_room[w], half - in_room[w]
-    if pushed + max_flow(head, to, cap, s, t) != n * half:
-        return None
+    n, half = g.n, r // 2
     out: list[list[int]] = [[] for _ in range(n)]
-    for k, (u, w) in enumerate(arcs):
-        if not cap[m + 2 * k]:
-            out[u].append(w)
-    del arcs, head, to, cap  # the network goes before the factor is built
-    for heads in out:
-        heads.sort()
-    return OrientedGraph.from_out(out)
+    for u, w in balanced_orientation(g, rotate):
+        out[u].append(w)
+    sel = bipartite_b_matching(out, n, half)
+    del out  # the orientation goes before the factor is built
+    if sum(map(len, sel)) != n * half:
+        return None
+    return OrientedGraph.from_out([sorted(heads) for heads in sel])
 
 
 # -- extraction ---------------------------------------------------------------

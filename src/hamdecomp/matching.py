@@ -1,5 +1,7 @@
-"""Matching kernels: blossom matching on general graphs, Hopcroft-Karp on
-bipartite graphs, and a brute-force reference matcher for tiny inputs."""
+"""Matching kernels: blossom matching on general graphs, augmenting-path
+search with lookahead on bipartite graphs (a matching for the peel, a
+b-matching for the factor), and a brute-force reference matcher for tiny
+inputs."""
 from __future__ import annotations
 
 from collections import deque
@@ -113,76 +115,161 @@ def brute_max_matching_size(adj: list[list[int]]) -> int:
 
 
 def hopcroft_karp(adj_x: list[list[int]], n_y: int) -> list[int]:
-    """Maximum matching of a bipartite graph given as X-side adjacency.
+    """Maximum matching of a bipartite graph given as X-side adjacency;
+    returns match_x[x] = matched y or -1.
 
-    Returns match_x[x] = matched y or -1.  O(E*sqrt(V)).
+    The name is the peel's tracer target; the search is Pothen and Fan's
+    (ACM TOMS 1990), faster than Hopcroft-Karp on sparse bipartite graphs
+    (Duff, Kaya and Ucar, ACM TOMS 2011).  A greedy pass matches each x to
+    its first free neighbour.  Each phase then searches depth-first from
+    every free x, visiting each y at most once; on entering an x it first
+    looks for a free neighbour, ``ahead[x]`` skipping for good the matched
+    ones (a matched y stays matched).  A phase with no augmentation leaves
+    no free y reachable from a free x: the matching is then maximum.
     """
     n_x = len(adj_x)
-    INF = float("inf")
     match_x = [-1] * n_x
     match_y = [-1] * n_y
-    # greedy seed
-    for x in range(n_x):
-        for y in adj_x[x]:
+    for x, heads in enumerate(adj_x):
+        for y in heads:
             if match_y[y] == -1:
                 match_x[x] = y
                 match_y[y] = x
                 break
-    dist = [0.0] * n_x
-
-    def bfs() -> bool:
-        q = deque()
-        for x in range(n_x):
-            if match_x[x] == -1:
-                dist[x] = 0.0
-                q.append(x)
-            else:
-                dist[x] = INF
-        found = False
-        while q:
-            x = q.popleft()
-            for y in adj_x[x]:
-                w = match_y[y]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[x] + 1
-                    q.append(w)
-        return found
-
-    def dfs(root: int) -> None:
-        """Augment along the first layered alternating path from the free
-        vertex root, trying each vertex's edges in adjacency order.  The
-        path so far is xs[0] -ys[0]- xs[1] ...; its[i] holds the edges xs[i]
-        has not tried yet.  A vertex with no way forward is closed (dist
-        INF) and its parent tries its next edge.
-        """
-        xs, ys, its = [root], [], [iter(adj_x[root])]
-        while xs:
-            x = xs[-1]
-            next_dist = dist[x] + 1
-            for y in its[-1]:
-                w = match_y[y]
-                if w == -1:
-                    ys.append(y)
+    ahead = [0] * n_x
+    seen = [0] * n_y
+    free = [x for x in range(n_x) if match_x[x] == -1]
+    phase = 0
+    while free:
+        phase += 1
+        left = []
+        for root in free:
+            # the path so far is xs[0] -ys[0]- xs[1] ...; its[i] holds the
+            # edges xs[i] has not tried yet
+            xs, ys, its = [root], [], [iter(adj_x[root])]
+            while xs:
+                x = xs[-1]
+                heads, k = adj_x[x], ahead[x]
+                while k < len(heads) and match_y[heads[k]] != -1:
+                    k += 1
+                ahead[x] = k
+                if k < len(heads):
+                    ys.append(heads[k])
                     for x, y in zip(xs, ys):
                         match_x[x] = y
                         match_y[y] = x
-                    return
-                if dist[w] == next_dist:
-                    ys.append(y)
-                    xs.append(w)
-                    its.append(iter(adj_x[w]))
+                    break
+                for y in its[-1]:
+                    if seen[y] != phase:
+                        seen[y] = phase
+                        ys.append(y)
+                        xs.append(match_y[y])
+                        its.append(iter(adj_x[xs[-1]]))
+                        break
+                else:
+                    xs.pop()
+                    its.pop()
+                    if ys:
+                        ys.pop()
+            else:
+                left.append(root)
+        if len(left) == len(free):
+            break
+        free = left
+    return match_x
+
+
+def bipartite_b_matching(adj_x: list[list[int]], n_y: int, b: int) -> list[set[int]]:
+    """Maximum b-matching of a bipartite graph given as X-side adjacency:
+    each x selects at most b neighbours and each y is selected at most b
+    times.  Returns sel[x], the set of y's that x selects.
+
+    ``hopcroft_karp``'s search with room b: the greedy pass gives each x,
+    in order, its neighbours in order while they have room; each phase
+    searches from every x with room, again while that augments.  An x steps
+    to the y's it does not select, a y to the x's selecting it, and any y
+    with room ends a path (``ahead[x]`` skips the full ones: a load never
+    falls).  Odd phases scan lists forward and even ones backward (Pothen
+    and Fan's fairness), which keeps paths short.
+    """
+    n_x = len(adj_x)
+    sel: list[set[int]] = [set() for _ in range(n_x)]
+    holders: list[list[int]] = [[] for _ in range(n_y)]  # the x's selecting y
+    room = [b] * n_y
+    for x, heads in enumerate(adj_x):
+        mine = sel[x]
+        for y in heads:
+            if len(mine) == b:
+                break
+            if room[y]:
+                room[y] -= 1
+                holders[y].append(x)
+                mine.add(y)
+    ahead = [0] * n_x
+    seen_x = [0] * n_x
+    seen_y = [0] * n_y
+
+    def augment(root: int, phase: int) -> bool:
+        # path = x0, y1, x1, y2, ...; its[i] holds what path[i] has not
+        # tried yet: an x's neighbours, or a y's holders
+        scan = iter if phase % 2 else reversed
+        path, its = [root], [scan(adj_x[root])]
+        while its:
+            v = path[-1]
+            if len(path) % 2 == 0:  # v is a y
+                for x in its[-1]:
+                    if seen_x[x] != phase:
+                        seen_x[x] = phase
+                        path.append(x)
+                        its.append(scan(adj_x[x]))
+                        break
+                else:
+                    path.pop()
+                    its.pop()
+                continue
+            # the lookahead; it finds nothing new when the search backs up
+            mine, heads, k = sel[v], adj_x[v], ahead[v]
+            while k < len(heads) and not room[heads[k]]:
+                k += 1
+            ahead[v] = k
+            while k < len(heads) and (not room[heads[k]] or heads[k] in mine):
+                k += 1
+            if k < len(heads):
+                y = heads[k]
+                room[y] -= 1
+                holders[y].append(v)
+                mine.add(y)
+                # each y on the path passes from the x after it to the x
+                # before it
+                for i in range(1, len(path), 2):
+                    y, x, prev = path[i], path[i + 1], path[i - 1]
+                    sel[x].remove(y)
+                    sel[prev].add(y)
+                    h = holders[y]
+                    h[h.index(x)] = prev
+                return True
+            for y in its[-1]:
+                if seen_y[y] != phase and y not in mine:
+                    seen_y[y] = phase
+                    path.append(y)
+                    its.append(scan(holders[y]))
                     break
             else:
-                dist[x] = INF
-                xs.pop()
+                path.pop()
                 its.pop()
-                if ys:
-                    ys.pop()
+        return False
 
-    while bfs():
-        for x in range(n_x):
-            if match_x[x] == -1:
-                dfs(x)
-    return match_x
+    short = [x for x in range(n_x) if len(sel[x]) < b]
+    phase = 0
+    while short:
+        phase += 1
+        grew = False
+        for root in short:
+            if seen_x[root] != phase:
+                seen_x[root] = phase
+                while len(sel[root]) < b and augment(root, phase):
+                    grew = True
+        if not grew:
+            break
+        short = [x for x in short if len(sel[x]) < b]
+    return sel

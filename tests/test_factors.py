@@ -5,6 +5,7 @@ from collections import deque
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamdecomp import factors
 from hamdecomp.factors import (
@@ -12,12 +13,11 @@ from hamdecomp.factors import (
     build_gadget,
     extract_r_factor,
     extract_with_retry,
-    max_flow,
     tutte_check_exhaustive,
     tutte_quantities,
 )
-from hamdecomp.graph import Graph, balanced_orientation
-from hamdecomp.matching import max_matching_general
+from hamdecomp.graph import Graph
+from hamdecomp.matching import bipartite_b_matching, max_matching_general
 from hamdecomp.sampler import Params, sample_gnp, split
 
 
@@ -216,8 +216,9 @@ class TestExtraction:
 
 
 class Network:
-    """Reference network builder: the residual arrays ``max_flow`` takes,
-    with each arc and its reverse added as a pair of ids i, i ^ 1."""
+    """Reference residual network: arc i runs to ``to[i]`` with residual
+    capacity ``cap[i]``, ``head[u]`` lists the arcs leaving u, and each arc
+    and its reverse are added as a pair of ids i, i ^ 1."""
 
     def __init__(self, n: int):
         self.n = n
@@ -236,7 +237,7 @@ class Network:
 
 def recursive_max_flow(net: Network, s: int, t: int) -> int:
     """Reference: Dinic's algorithm with the usual recursive blocking-flow
-    DFS over the same arc lists and current-arc pointers."""
+    DFS and current-arc pointers."""
     flow = 0
     while True:
         level = [-1] * net.n
@@ -274,17 +275,6 @@ def recursive_max_flow(net: Network, s: int, t: int) -> int:
             flow += pushed
 
 
-def random_network(seed: int) -> Network:
-    rnd = random.Random(seed)
-    n = rnd.randint(2, 30)
-    net = Network(n)
-    for _ in range(rnd.randint(0, 4 * n)):
-        u, v = rnd.randrange(n), rnd.randrange(n)
-        if u != v:
-            net.add(u, v, rnd.randint(1, 5))
-    return net
-
-
 def _no_recursion_limit_change(monkeypatch):
     def refuse(limit):
         raise AssertionError("the recursion limit must not change")
@@ -292,81 +282,148 @@ def _no_recursion_limit_change(monkeypatch):
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
 
 
-class TestIterativeDinic:
-    def test_matches_recursive_reference(self, monkeypatch):
-        # same arc order and pointers: equal flow and equal residual capacities
-        _no_recursion_limit_change(monkeypatch)
-        for seed in range(400):
-            net, ref = random_network(seed), random_network(seed)
-            t = net.n - 1
-            assert max_flow(net.head, net.to, net.cap, 0, t) == recursive_max_flow(ref, 0, t)
-            assert net.cap == ref.cap
+def b_matching_network(adj_x: list[list[int]], n_y: int, b: int) -> Network:
+    """The flow network of a b-matching: arcs s -> x and y -> t of capacity
+    b and one arc x -> y of capacity 1 per edge; s and t are the last two
+    nodes."""
+    n_x = len(adj_x)
+    net = Network(n_x + n_y + 2)
+    s, t = n_x + n_y, n_x + n_y + 1
+    for x, heads in enumerate(adj_x):
+        net.add(s, x, b)
+        for y in heads:
+            net.add(x, n_x + y, 1)
+    for y in range(n_y):
+        net.add(n_x + y, t, b)
+    return net
+
+
+def random_bipartite(rnd: random.Random, n_x: int, n_y: int, q: float) -> list[list[int]]:
+    adj_x = []
+    for _ in range(n_x):
+        heads = [y for y in range(n_y) if rnd.random() < q]
+        rnd.shuffle(heads)
+        adj_x.append(heads)
+    return adj_x
+
+
+def b_matching_total(adj_x: list[list[int]], n_y: int, b: int, sel: list[set[int]]) -> int:
+    """The selections' total, after checking that no x or y exceeds b and
+    that every selection is an input edge."""
+    load = [0] * n_y
+    for x, heads in enumerate(sel):
+        assert len(heads) <= b and heads <= set(adj_x[x])
+        for y in heads:
+            load[y] += 1
+    assert all(c <= b for c in load)
+    return sum(load)
+
+
+class TestBMatching:
+    @given(st.integers(0, 30), st.integers(0, 30), st.integers(1, 6),
+           st.sampled_from([0.05, 0.15, 0.3, 0.6, 0.9]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_total_equals_max_flow(self, n_x, n_y, b, q, seed):
+        adj_x = random_bipartite(random.Random(seed), n_x, n_y, q)
+        total = b_matching_total(adj_x, n_y, b, bipartite_b_matching(adj_x, n_y, b))
+        net = b_matching_network(adj_x, n_y, b)
+        assert total == recursive_max_flow(net, n_x + n_y, n_x + n_y + 1)
+
+    def test_full_and_short(self):
+        # K_{6,6} at b = 4 fills every x and y; in K_{6,6} minus the edges
+        # of x0 and x1 but one each, they have room left over
+        full = [list(range(6)) for _ in range(6)]
+        sel = bipartite_b_matching(full, 6, 4)
+        assert [len(heads) for heads in sel] == [4] * 6
+        short = [[0], [5]] + full[2:]
+        sel = bipartite_b_matching(short, 6, 4)
+        assert b_matching_total(short, 6, 4, sel) == 18
+        assert [len(heads) for heads in sel] == [1, 1, 4, 4, 4, 4]
 
     def test_augmenting_path_longer_than_the_recursion_limit(self, monkeypatch):
+        # x_i prefers y_{i+1}, so the greedy pass leaves x_m without its
+        # one arc and the only augmenting path runs through all m + 1 x's
         _no_recursion_limit_change(monkeypatch)
         m = 3 * sys.getrecursionlimit()
-        net, ref = Network(m), Network(m)
-        for u in range(m - 1):
-            net.add(u, u + 1, 2)
-            ref.add(u, u + 1, 2)
+        adj_x = [[i + 1, i] for i in range(m)] + [[m]]
+        net = b_matching_network(adj_x, m + 1, 1)
         with pytest.raises(RecursionError):
-            recursive_max_flow(ref, 0, m - 1)
-        assert max_flow(net.head, net.to, net.cap, 0, m - 1) == 2
+            recursive_max_flow(net, 2 * m + 2, 2 * m + 3)
+        assert bipartite_b_matching(adj_x, m + 1, 1) == [{i} for i in range(m + 1)]
 
 
-def reference_factor_via_flow(g: Graph, r: int, rotate: int) -> tuple[Graph | None, Network]:
-    """Reference: the flow route on a plain ``Network``, built arc by arc
-    with ``add``, and every phase, the first one too, run by ``max_flow``."""
-    arcs = balanced_orientation(g, rotate)
-    n, half = g.n, r // 2
-    s, t = 2 * n, 2 * n + 1
-    net = Network(2 * n + 2)
-    for v in range(n):
-        net.add(s, v, half)
-        net.add(n + v, t, half)
-    arc_ids = [net.add(u, n + v, 1) for u, v in arcs]
-    if max_flow(net.head, net.to, net.cap, s, t) != n * half:
-        return None, net
-    f = Graph(n)
-    for (u, v), idx in zip(arcs, arc_ids):
-        if net.cap[idx] == 0:
-            f.add_edge(u, v)
-    return f, net
+def forced_two_factor_graph() -> Graph:
+    """C_40 plus a 5-cycle on 2, 5, 24, 8, 12 and a 4-cycle on 13, 25, 15,
+    32: it has a 2-factor, but none of the three balanced orientations that
+    extraction tries carries one."""
+    cycles = [list(range(40)), [2, 5, 24, 8, 12], [13, 25, 15, 32]]
+    return Graph.from_pairs(40, sorted(
+        (min(u, v), max(u, v)) for c in cycles for u, v in zip(c, c[1:] + c[:1])
+    ))
 
 
-class TestFlowFirstPhase:
-    def test_greedy_first_phase_matches_plain_dinic(self, monkeypatch):
-        # the network each call hands to max_flow; cap holds its residual
-        # capacities once the call returns
-        built: list[tuple[list, list, list]] = []
+def no_four_factor_graph() -> Graph:
+    """Two K_5 sharing vertex 0 (minimum degree 4, no 4-factor) beside eight
+    disjoint K_5, so that n = 49 reaches the flow route."""
+    blocks = [[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]] + [list(range(9 + 5 * k, 14 + 5 * k)) for k in range(8)]
+    return Graph.from_pairs(49, sorted(p for block in blocks for p in combinations(block, 2)))
 
-        def spy(head, to, cap, s, t):
-            built.append((head, to, cap))
-            return max_flow(head, to, cap, s, t)
 
-        monkeypatch.setattr(factors, "max_flow", spy)
-        rnd = random.Random(5)
-        outcomes = set()
-        for seed in range(24):
-            n = rnd.randint(40, 120)
-            g = random_graph(n, rnd.uniform(0.08, 0.5), seed)
-            top = 2 * (g.min_degree() // 2)
-            if top < 2:
-                continue
-            for r in sorted({2, top, rnd.randrange(2, top + 1, 2)}):
-                for rotate in range(3):
-                    f = _factor_via_flow(g, r, rotate)
-                    want, ref = reference_factor_via_flow(g, r, rotate)
-                    head, to, cap = built.pop()
-                    assert (to, head) == (ref.to, ref.head), (seed, r, rotate)
-                    assert cap == ref.cap, (seed, r, rotate)
-                    outcomes.add(f is not None)
-                    if want is None:
-                        assert f is None
-                        continue
-                    # the same graph with equal neighbour lists, and so the
-                    # same edge order for what reads the lists (split,
-                    # to_text) and the same edges set, built from them
-                    assert list(f.edges) == list(want.edges)
-                    assert [f.adj(v) for v in range(n)] == [want.adj(v) for v in range(n)]
-        assert outcomes == {True, False}
+class TestFlowRoute:
+    @pytest.mark.parametrize("make,r", [(forced_two_factor_graph, 2), (no_four_factor_graph, 4)])
+    def test_a_miss_retries_then_takes_the_gadgets_verdict(self, monkeypatch, make, r):
+        g = make()
+        assert g.n >= factors.FLOW_FASTPATH_MIN_N and r <= g.min_degree()
+        tried, gadgets = [], []
+
+        def flow(g, r, rotate=0):
+            f = _factor_via_flow(g, r, rotate)
+            tried.append((rotate, f is None))
+            return f
+
+        def gadget(g, r):
+            gadgets.append(r)
+            return build_gadget(g, r)
+
+        monkeypatch.setattr(factors, "_factor_via_flow", flow)
+        monkeypatch.setattr(factors, "build_gadget", gadget)
+        f = extract_r_factor(g, r)
+        assert tried == [(0, True), (1, True), (2, True)]
+        assert gadgets == [r]
+        ref = build_gadget(g, r)
+        match = max_matching_general(ref.adj, init=factors._seed_matching(ref))
+        assert f == (ref.matching_to_factor(match) if -1 not in match else None)
+        assert (f is None) == (make is no_four_factor_graph)
+
+
+# r from extract_with_retry at p0 = 100/n, eta = 0.25, graph seeds 0-9,
+# recorded with the Dinic flow that the b-matching search replaced; both
+# are exact on the same orientation, so every first flow attempt succeeds
+# and no gadget is built, then as now
+PINNED_R = {
+    300: [64, 72, 70, 68, 70, 68, 74, 76, 70, 70],
+    1200: [66, 64, 66, 70, 62, 68, 66, 64, 60, 64],
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_R))
+def test_r_and_route_pinned(monkeypatch, n):
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(factors, name, wrapped)
+
+    spy("_factor_via_flow", _factor_via_flow)
+    spy("build_gadget", build_gadget)
+    got = []
+    for seed in range(10):
+        params = Params(n=n, p0=100 / n, eta=0.25, seed=seed)
+        s = split(sample_gnp(params.n, params.p0, params.seed), params)
+        calls.clear()
+        f, r = extract_with_retry(s.g1, params.r1)
+        got.append(r)
+        assert calls == ["_factor_via_flow"], seed
+    assert got == PINNED_R[n]

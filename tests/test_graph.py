@@ -621,10 +621,11 @@ def test_g2_consumed_is_the_set_intersection_count():
 
 
 # SHA-256 of the Hamilton cycles of harness.run at n=1000, p0=0.1,
-# eta=0.25, recorded when peeling began to use the flow's own orientation
+# eta=0.25, re-recorded when the factor and the peel moved to
+# augmenting-path search with lookahead
 RUN_DIGESTS = {
-    0: "f6d63db7575917372db6a9c5beab81bcee0016fa331cec143c6158bf9a447817",
-    3: "49fc7a4b39f95ea04502950bfa9087f1f32ea7bf41ceeab4adc8939800324d4d",
+    0: "38e50b1169b0b2310aea79443dc896f25756df420517c23873a88a33264773d0",
+    3: "1e7f6a924119ecb2bb04ad807de7aea583be42452465dd3e1bd033d48679e8a4",
 }
 
 

@@ -208,6 +208,39 @@ def recursive_hopcroft_karp(adj_x, n_y):
     return match_x
 
 
+def random_matching_case(rnd, n, regular):
+    """(X-side adjacency, n_y) of a random bipartite graph with n X
+    vertices: a union of random permutations of n Y vertices (regular, so
+    it has a perfect matching), half the time with one edge dropped, or
+    independent edges of a random density to 1..30 Y vertices."""
+    if not regular:
+        n_y, q = rnd.randint(1, 30), rnd.choice([0.05, 0.1, 0.3, 0.6])
+        return [[y for y in range(n_y) if rnd.random() < q] for _ in range(n)], n_y
+    adj = [set() for _ in range(n)]
+    for _ in range(rnd.randint(1, 4)):
+        cols = rnd.sample(range(n), n)
+        for x in range(n):
+            adj[x].add(cols[x])
+    if rnd.random() < 0.5:
+        adj[rnd.randrange(n)].pop()
+    return [rnd.sample(sorted(heads), len(heads)) for heads in adj], n
+
+
+class TestMatchesTheReference:
+    @given(st.integers(min_value=1, max_value=30), st.booleans(),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_perfect_exactly_when_the_reference_is(self, n, regular, seed):
+        adj_x, n_y = random_matching_case(random.Random(seed), n, regular)
+        match = hopcroft_karp(adj_x, n_y)
+        ref = recursive_hopcroft_karp(adj_x, n_y)
+        assert all(y == -1 or y in adj_x[x] for x, y in enumerate(match))
+        matched = [y for y in match if y != -1]
+        assert len(set(matched)) == len(matched)
+        assert len(matched) == sum(y != -1 for y in ref)
+        assert (-1 in match) == (-1 in ref)
+
+
 def _no_recursion_limit_change(monkeypatch):
     def refuse(limit):
         raise AssertionError("the recursion limit must not change")
@@ -216,20 +249,6 @@ def _no_recursion_limit_change(monkeypatch):
 
 
 class TestIterativeHopcroftKarp:
-    def test_matches_recursive_reference(self, monkeypatch):
-        # same edge order, same augmenting paths: the matchings are equal
-        _no_recursion_limit_change(monkeypatch)
-        rnd = random.Random(5)
-        for _ in range(400):
-            n_x, n_y = rnd.randint(1, 40), rnd.randint(1, 40)
-            q = rnd.choice([0.05, 0.1, 0.3, 0.6])
-            adj_x = []
-            for _ in range(n_x):
-                ys = [y for y in range(n_y) if rnd.random() < q]
-                rnd.shuffle(ys)
-                adj_x.append(ys)
-            assert hopcroft_karp(adj_x, n_y) == recursive_hopcroft_karp(adj_x, n_y)
-
     def test_augmenting_path_longer_than_the_recursion_limit(self, monkeypatch):
         # x_i prefers y_{i+1}, so the greedy seed leaves x_m free and the
         # only augmenting path runs through all m + 1 X vertices

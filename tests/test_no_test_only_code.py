@@ -119,7 +119,7 @@ obj.attribute
 
 def test_scan_sees_the_package():
     names = {q for q, _, _ in definitions(parsed())}
-    assert {"rotation.convert_all", "graph.Graph.add_edge", "factors.max_flow"} <= names
+    assert {"rotation.convert_all", "graph.Graph.add_edge", "matching.bipartite_b_matching"} <= names
 
 
 def test_only_reference_oracles_are_test_only():

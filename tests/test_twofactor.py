@@ -256,12 +256,12 @@ class TestCycleStatistics:
 
 
 # SHA-256 of r, the extracted factor's sorted edges and the peeled 2-factors
-# at n=600, p0=1/6, eta=0.25, re-recorded when peeling began to use the
-# flow's own orientation.
+# at n=600, p0=1/6, eta=0.25, re-recorded when the factor and the peel
+# moved to augmenting-path search with lookahead.
 FRONT_DIGESTS = {
-    0: "b56f4933b624bf71883ba503965e53de353635f6ead09401af303eec1d8d9ab2",
-    1: "febc7e3dfb76dd0532934922b1aaa51212094b6172ba860489917d95f1ea67d2",
-    2: "ab28a7f614f30cfb1960d767b62eacd67bda04bdc5728a28009003212af0acfc",
+    0: "4080f51c87a4efdb55f7fe7aefdbdf9121d8b81f2a0dc07f18528ff4fb59be0d",
+    1: "bac7b5e291f246ac610887fc7ee78aca31d39fecc99d920a1a6f01cbdba8291b",
+    2: "5bc476cd42edb1298ef90049870328642d845c20d6eb3d230387e9b2b7c579b7",
 }
 
 
