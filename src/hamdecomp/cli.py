@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import harness, oracles
@@ -24,6 +25,13 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 def _params(args) -> Params:
     return Params(n=args.n, p0=args.p0, eta=args.eta, seed=args.seed)
+
+
+def _writable(path: str) -> bool:
+    """Whether a file can be written at ``path``: its directory exists and
+    takes new files, and the path itself is not a directory."""
+    folder = os.path.dirname(os.path.abspath(path))
+    return os.path.isdir(folder) and os.access(folder, os.W_OK) and not os.path.isdir(path)
 
 
 def _grid_cell(cell) -> Params:
@@ -70,6 +78,12 @@ def main(argv: list[str] | None = None) -> int:
     p_diag.add_argument("--out", default=None)
 
     args = ap.parse_args(argv)
+    # checked before any command runs, so a run or a sweep does not sample
+    # only to fail at its last write
+    for path in (getattr(args, "out", None), getattr(args, "graph_out", None)):
+        if path is not None and not _writable(path):
+            print(f"parameter error: cannot write {path}", file=sys.stderr)
+            return EXIT_PARAM_ERROR
 
     if args.cmd == "run":
         try:

@@ -3,10 +3,11 @@
 The oracle enumerates all 3^n partitions (S, T, U) and checks the
 deficiency condition R_r(S,T) >= Q_r(S,T) exactly.  Extraction reduces the
 r-factor problem to perfect matching through a slot gadget; a flow fast
-path, a bipartite b-matching over a balanced orientation, handles large
-even-degree instances and falls back to the exact gadget matching when it
-comes up short.  A flow-route factor carries the orientation its
-b-matching selected, so peeling orients it without a second Euler pass.
+path, a bipartite b-matching over a balanced orientation (the edges walked
+along closed trails), handles large even-degree instances and falls back
+to the exact gadget matching when it comes up short.  A flow-route factor
+carries the orientation its b-matching selected, so peeling orients it
+without a second pass.
 """
 from __future__ import annotations
 
@@ -207,9 +208,7 @@ def _factor_via_flow(g: Graph, r: int, rotate: int = 0) -> OrientedGraph | None:
     """
     assert r % 2 == 0
     n, half = g.n, r // 2
-    out: list[list[int]] = [[] for _ in range(n)]
-    for u, w in balanced_orientation(g, rotate):
-        out[u].append(w)
+    out = balanced_orientation(g, rotate)
     sel = bipartite_b_matching(out, n, half)
     del out  # the orientation goes before the factor is built
     if sum(map(len, sel)) != n * half:

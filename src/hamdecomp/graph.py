@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -179,6 +179,13 @@ class OrientedGraph(Graph):
         g.out = out
         return g
 
+    def in_degrees(self) -> list[int]:
+        ind = [0] * self.n
+        for heads in self.out:
+            for w in heads:
+                ind[w] += 1
+        return ind
+
 
 def read_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:
     """The vertex count n and the (min, max) edge set of the text that
@@ -207,67 +214,58 @@ def read_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:
     return n, edges
 
 
-def euler_circuits(adj: list[list[int]]) -> Iterator[list[int]]:
-    """Euler circuits covering every edge of an even-degree graph, each as
-    its closed vertex walk.
+def balanced_orientation(g: Graph, rotate: int = 0) -> list[list[int]]:
+    """Out-lists of an orientation of g's edges with |out - in| <= 1 at
+    every vertex and out = in at every even vertex: ``out[v]`` lists the
+    heads of the arcs leaving v.
 
-    Hierholzer's algorithm: circuits start at each vertex in turn while it
-    has unused edges, and each vertex scans its neighbours in the order of
-    ``adj[v]``, so callers choose the orientation through that order.
-    An edge {u, w} is marked used by the integer min(u, w)·N + max(u, w),
-    with N = len(adj).
-    """
-    big_n = len(adj)
-    ptr = [0] * big_n
-    used: set[int] = set()
-    for start in range(big_n):
-        while ptr[start] < len(adj[start]):
-            stack = [start]
-            circuit: list[int] = []
-            while stack:
-                u = stack[-1]
-                nbrs, k = adj[u], ptr[u]
-                while k < len(nbrs):
-                    w = nbrs[k]
-                    k += 1
-                    key = u * big_n + w if u < w else w * big_n + u
-                    if key not in used:
-                        used.add(key)
-                        stack.append(w)
-                        break
-                else:
-                    circuit.append(stack.pop())
-                ptr[u] = k
-            circuit.reverse()
-            yield circuit
-
-
-def balanced_orientation(g: Graph, rotate: int = 0) -> list[tuple[int, int]]:
-    """Orient all edges so every vertex has |out - in| <= 1.
-
-    Odd-degree vertices are paired through a virtual vertex, Euler circuits
-    are traced per component, and virtual arcs dropped.  `rotate` perturbs
-    the adjacency scan order so retries explore different orientations.
+    Odd-degree vertices are joined to a virtual vertex n, which makes every
+    degree even, so the edges split into closed trails (Veblen), and a
+    trail walked in order leaves each vertex as often as it enters it.  A
+    trail starts at each vertex in turn and keeps taking the current
+    vertex's first unused edge; it can only get stuck back at its start,
+    once the start has no unused edge left.  The virtual arcs are dropped.
+    Edges are scanned in the order of g's lists, so with rotate = 0 each
+    out-list ascends; `rotate` rotates each scan order, so retries explore
+    different orientations.  An edge {u, w} is marked used by the integer
+    min(u, w)·(n + 1) + max(u, w).
     """
     n = g.n
     # g's own lists, read only: an odd vertex gets a new list, and
     # rotation rebinds each entry to a new list
     adj: list[list[int]] = [g.adj(v) for v in range(n)]
     odd = [v for v in range(n) if len(adj[v]) % 2 == 1]
-    virtual = n
     for v in odd:
-        adj[v] = adj[v] + [virtual]
+        adj[v] = adj[v] + [n]
     adj.append(odd)
     if rotate:
-        for v in range(len(adj)):
-            k = rotate % max(1, len(adj[v]))
-            adj[v] = adj[v][k:] + adj[v][:k]
-    return [
-        (a, b)
-        for circuit in euler_circuits(adj)
-        for a, b in zip(circuit, circuit[1:])
-        if a != virtual and b != virtual
-    ]
+        for v, nbrs in enumerate(adj):
+            k = rotate % max(1, len(nbrs))
+            adj[v] = nbrs[k:] + nbrs[:k]
+    big_n = n + 1
+    ptr = [0] * big_n
+    used: set[int] = set()
+    out: list[list[int]] = [[] for _ in range(big_n)]
+    for start in range(big_n):
+        u: int | None = start
+        while u is not None:
+            nbrs, k, step = adj[u], ptr[u], None
+            while k < len(nbrs):
+                w = nbrs[k]
+                k += 1
+                key = u * big_n + w if u < w else w * big_n + u
+                if key not in used:
+                    used.add(key)
+                    out[u].append(w)
+                    step = w
+                    break
+            ptr[u] = k
+            u = step
+    del out[n]
+    for v in odd:
+        if n in out[v]:
+            out[v].remove(n)
+    return out
 
 
 # -- cycle covers and broken 2-factors ---------------------------------------

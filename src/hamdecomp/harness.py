@@ -189,8 +189,9 @@ def sweep(
         for p in grid
         for s in range(seeds_per_cell)
     ]
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with Pool(workers) as pool:
             results = pool.map(_sweep_cell, cells)
     else:
         results = [_sweep_cell(c) for c in cells]

@@ -1,10 +1,10 @@
 """Decompose an even-regular graph into edge-disjoint 2-factors.
 
 Orient the host so in-degree equals out-degree everywhere (the orientation
-a flow-route factor already carries, else an Euler orientation), form the
-bipartite double (one arc = one bipartite edge), and peel perfect matchings;
-each matching is a permutation without fixed points or 2-cycles, i.e. a
-spanning cycle cover of the host.
+a flow-route factor already carries, else one along closed trails), form
+the bipartite double (one arc = one bipartite edge), and peel perfect
+matchings; each matching is a permutation without fixed points or
+2-cycles, i.e. a spanning cycle cover of the host.
 """
 from __future__ import annotations
 
@@ -15,35 +15,17 @@ from .matching import hopcroft_karp
 from .sampler import Params
 
 
-@dataclass
-class Orientation:
-    host: Graph
-    out: list[list[int]]  # out[v] = heads of arcs leaving v, ascending
-
-    def in_degrees(self) -> list[int]:
-        ind = [0] * self.host.n
-        for v in range(self.host.n):
-            for u in self.out[v]:
-                ind[u] += 1
-        return ind
-
-
-def euler_orient(h: Graph) -> Orientation:
-    """Orient an even-degree graph so in-degree equals out-degree at every
-    vertex, out-lists sorted.  An ``OrientedGraph`` (a flow-route factor)
-    gives new copies of its stored out-lists; any other graph is oriented
-    by Hierholzer, as ``balanced_orientation`` does for extraction."""
+def euler_orient(h: Graph) -> OrientedGraph:
+    """``h`` with an orientation in which in-degree equals out-degree at
+    every vertex, out-lists ascending.  An ``OrientedGraph`` (a flow-route
+    factor) is returned as it is; any other even-degree graph is oriented
+    along closed trails by ``balanced_orientation``, as in extraction."""
     if isinstance(h, OrientedGraph):
-        return Orientation(host=h, out=[list(heads) for heads in h.out])
+        return h
     odd = [v for v in range(h.n) if h.degree(v) % 2 == 1]
     if odd:
         raise ValueError(f"odd-degree vertices: {odd[:5]}")
-    out: list[list[int]] = [[] for _ in range(h.n)]
-    for a, b in balanced_orientation(h):
-        out[a].append(b)
-    for v in range(h.n):
-        out[v].sort()
-    return Orientation(host=h, out=out)
+    return OrientedGraph.from_out(balanced_orientation(h))
 
 
 def matching_to_2factor(match: list[int]) -> list[list[int]]:
@@ -84,10 +66,10 @@ def peel_all(h: Graph, r: int) -> TwoFactorSet:
     if r != deg or r % 2 == 1:
         raise ValueError(f"need even regular degree, got r={r}, degree={deg}")
     o = euler_orient(h)
-    # the bipartite double (x -> y per arc) is peeled from the orientation's
-    # own new out-lists; ind tracks its in-degrees.  The balance check:
-    # out = in = r/2 on an r-regular host
-    adj_x = o.out
+    # the bipartite double (x -> y per arc) is peeled from copies of the
+    # orientation's out-lists, so a factor is never changed; ind tracks its
+    # in-degrees.  The balance check: out = in = r/2 on an r-regular host
+    adj_x = [list(heads) for heads in o.out]
     ind = o.in_degrees()
     expected = r // 2
     if any(len(heads) != expected for heads in adj_x) or any(i != expected for i in ind):

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from hamdecomp import harness
+from hamdecomp import cli, harness
 from hamdecomp.cli import EXIT_VERIFY_FAIL, main
 from hamdecomp.graph import Graph, cycle_cover_edges
 from hamdecomp.harness import CSV_HEADER, _reverify, run, sweep, verify_result
@@ -188,6 +188,31 @@ class TestSweep:
             assert header == CSV_HEADER and len(body) == 2
             tables.append([row[:wall] + row[wall + 1:] for row in body])
         assert tables[0] == tables[1]
+
+    def test_pool_has_no_more_workers_than_cells(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            """Runs the cells in this process and records its size."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return [fn(c) for c in cells]
+
+        monkeypatch.setattr(harness, "Pool", FakePool)
+        grid = [Params(n=40, p0=0.9, eta=0.3, seed=0)]
+        assert len(sweep(grid, 2, str(tmp_path / "two.csv"), jobs=8)) == 2
+        # one cell runs in this process, without a pool
+        assert len(sweep(grid, 1, str(tmp_path / "one.csv"), jobs=8)) == 1
+        assert sizes == [2]
 
 
 class TestVerify:
@@ -449,6 +474,24 @@ class TestCliExitCodes:
         assert main(["sweep", "--grid", grid, "--jobs", jobs, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "parameter error: --jobs must be at least 1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["run", "--n", "60", "--p0", "0.5", "--eta", "0.25"], "--out"),
+        (["run", "--n", "60", "--p0", "0.5", "--eta", "0.25"], "--graph-out"),
+        (["sweep", "--grid", '[{"n": 40, "p0": 0.8, "eta": 0.3}]'], "--out"),
+        (["diag", "--n", "30", "--p0", "0.3", "--eta", "0.25"], "--out"),
+        (["oracle"], "--out"),
+    ])
+    def test_unwritable_output_is_a_parameter_error(
+            self, tmp_path, monkeypatch, capsys, argv, option):
+        # reported before any sampling, not as a traceback after the work
+        sampled = []
+        monkeypatch.setattr(harness, "sample_gnp", lambda *args: sampled.append(args))
+        monkeypatch.setattr(cli, "sample_gnp", lambda *args: sampled.append(args))
+        path = tmp_path / "missing" / "x"
+        assert main(argv + [option, str(path)]) == 2
+        assert capsys.readouterr().err == f"parameter error: cannot write {path}\n"
+        assert sampled == [] and not path.parent.exists()
 
     def test_run_has_no_floor_r(self):
         with pytest.raises(SystemExit) as exc:

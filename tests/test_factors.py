@@ -395,6 +395,26 @@ class TestFlowRoute:
         assert f == (ref.matching_to_factor(match) if -1 not in match else None)
         assert (f is None) == (make is no_four_factor_graph)
 
+    def test_a_rotated_retry_finds_the_factor_the_first_attempt_missed(self, monkeypatch):
+        # on this G1 the first orientation carries no 2-factor, and the
+        # orientation of the first rotated scan does
+        params = Params(n=40, p0=0.2, eta=0.25, seed=37)
+        g = split(sample_gnp(params.n, params.p0, params.seed), params).g1
+        assert g.n >= factors.FLOW_FASTPATH_MIN_N and g.min_degree() >= 2
+        tried, gadgets = [], []
+
+        def flow(g, r, rotate=0):
+            f = _factor_via_flow(g, r, rotate)
+            tried.append((rotate, f is None))
+            return f
+
+        monkeypatch.setattr(factors, "_factor_via_flow", flow)
+        monkeypatch.setattr(factors, "build_gadget", lambda g, r: gadgets.append(r))
+        f = extract_r_factor(g, 2)
+        assert tried == [(0, True), (1, False)]
+        assert gadgets == []
+        assert f.edges <= g.edges and all(f.degree(v) == 2 for v in range(g.n))
+
 
 # r from extract_with_retry at p0 = 100/n, eta = 0.25, graph seeds 0-9,
 # recorded with the Dinic flow that the b-matching search replaced; both
