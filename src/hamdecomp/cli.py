@@ -28,10 +28,12 @@ def _params(args) -> Params:
 
 
 def _writable(path: str) -> bool:
-    """Whether a file can be written at ``path``: its directory exists and
-    takes new files, and the path itself is not a directory."""
+    """Whether a file can be written at ``path``: it is not empty, its
+    directory exists and takes new files, and the path itself is not a
+    directory."""
     folder = os.path.dirname(os.path.abspath(path))
-    return os.path.isdir(folder) and os.access(folder, os.W_OK) and not os.path.isdir(path)
+    return (path != "" and os.path.isdir(folder) and os.access(folder, os.W_OK)
+            and not os.path.isdir(path))
 
 
 def _grid_cell(cell) -> Params:

@@ -1,7 +1,7 @@
 """Matching kernels: blossom matching on general graphs, augmenting-path
 search with lookahead on bipartite graphs (a matching for the peel, a
-b-matching for the factor), and a brute-force reference matcher for tiny
-inputs."""
+b-matching for the arcs the factor drops), and a brute-force reference
+matcher for tiny inputs."""
 from __future__ import annotations
 
 from collections import deque
@@ -121,7 +121,11 @@ def hopcroft_karp(adj_x: list[list[int]], n_y: int) -> list[int]:
     The name is the peel's tracer target; the search is Pothen and Fan's
     (ACM TOMS 1990), faster than Hopcroft-Karp on sparse bipartite graphs
     (Duff, Kaya and Ucar, ACM TOMS 2011).  A greedy pass matches each x to
-    its first free neighbour.  Each phase then searches depth-first from
+    the first free neighbour of its list read from position x mod its
+    degree onward, wrapping round, so that the x's do not all compete for
+    the y's that head their lists (on the regular doubles the peel matches
+    this leaves fewer x's free than scans from position 0, and each scan
+    ends sooner).  Each phase then searches depth-first from
     every free x, visiting each y at most once; on entering an x it first
     looks for a free neighbour, ``ahead[x]`` skipping for good the matched
     ones (a matched y stays matched).  A phase with no augmentation leaves
@@ -131,11 +135,20 @@ def hopcroft_karp(adj_x: list[list[int]], n_y: int) -> list[int]:
     match_x = [-1] * n_x
     match_y = [-1] * n_y
     for x, heads in enumerate(adj_x):
-        for y in heads:
+        if not heads:
+            continue
+        k = x % len(heads)
+        for y in heads[k:]:
             if match_y[y] == -1:
                 match_x[x] = y
                 match_y[y] = x
                 break
+        else:
+            for y in heads[:k]:
+                if match_y[y] == -1:
+                    match_x[x] = y
+                    match_y[y] = x
+                    break
     ahead = [0] * n_x
     seen = [0] * n_y
     free = [x for x in range(n_x) if match_x[x] == -1]
@@ -179,13 +192,15 @@ def hopcroft_karp(adj_x: list[list[int]], n_y: int) -> list[int]:
     return match_x
 
 
-def bipartite_b_matching(adj_x: list[list[int]], n_y: int, b: int) -> list[set[int]]:
-    """Maximum b-matching of a bipartite graph given as X-side adjacency:
-    each x selects at most b neighbours and each y is selected at most b
-    times.  Returns sel[x], the set of y's that x selects.
+def bipartite_b_matching(adj_x: list[list[int]], cap_x: list[int],
+                         cap_y: list[int]) -> list[set[int]]:
+    """Maximum b-matching of a bipartite graph given as X-side adjacency,
+    with per-vertex capacities: x selects at most ``cap_x[x]`` neighbours
+    and y is selected at most ``cap_y[y]`` times (n_y = len(cap_y); a
+    capacity may be 0).  Returns sel[x], the set of y's that x selects.
 
-    ``hopcroft_karp``'s search with room b: the greedy pass gives each x,
-    in order, its neighbours in order while they have room; each phase
+    ``hopcroft_karp``'s search with room: the greedy pass gives each x, in
+    order, its neighbours in order while both have room; each phase
     searches from every x with room, again while that augments.  An x steps
     to the y's it does not select, a y to the x's selecting it, and any y
     with room ends a path (``ahead[x]`` skips the full ones: a load never
@@ -194,20 +209,22 @@ def bipartite_b_matching(adj_x: list[list[int]], n_y: int, b: int) -> list[set[i
     """
     n_x = len(adj_x)
     sel: list[set[int]] = [set() for _ in range(n_x)]
-    holders: list[list[int]] = [[] for _ in range(n_y)]  # the x's selecting y
-    room = [b] * n_y
+    holders: list[list[int]] = [[] for _ in cap_y]  # the x's selecting y
+    room = list(cap_y)
     for x, heads in enumerate(adj_x):
-        mine = sel[x]
+        mine, b = sel[x], cap_x[x]
+        if not b:
+            continue
         for y in heads:
-            if len(mine) == b:
-                break
             if room[y]:
                 room[y] -= 1
                 holders[y].append(x)
                 mine.add(y)
+                if len(mine) == b:
+                    break
     ahead = [0] * n_x
     seen_x = [0] * n_x
-    seen_y = [0] * n_y
+    seen_y = [0] * len(cap_y)
 
     def augment(root: int, phase: int) -> bool:
         # path = x0, y1, x1, y2, ...; its[i] holds what path[i] has not
@@ -259,7 +276,7 @@ def bipartite_b_matching(adj_x: list[list[int]], n_y: int, b: int) -> list[set[i
                 its.pop()
         return False
 
-    short = [x for x in range(n_x) if len(sel[x]) < b]
+    short = [x for x in range(n_x) if len(sel[x]) < cap_x[x]]
     phase = 0
     while short:
         phase += 1
@@ -267,9 +284,9 @@ def bipartite_b_matching(adj_x: list[list[int]], n_y: int, b: int) -> list[set[i
         for root in short:
             if seen_x[root] != phase:
                 seen_x[root] = phase
-                while len(sel[root]) < b and augment(root, phase):
+                while len(sel[root]) < cap_x[root] and augment(root, phase):
                     grew = True
         if not grew:
             break
-        short = [x for x in short if len(sel[x]) < b]
+        short = [x for x in short if len(sel[x]) < cap_x[x]]
     return sel

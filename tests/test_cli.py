@@ -493,6 +493,25 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == f"parameter error: cannot write {path}\n"
         assert sampled == [] and not path.parent.exists()
 
+    @pytest.mark.parametrize("argv, option", [
+        (["run", "--n", "60", "--p0", "0.5", "--eta", "0.25"], "--out"),
+        (["run", "--n", "60", "--p0", "0.5", "--eta", "0.25"], "--graph-out"),
+        (["sweep", "--grid", '[{"n": 40, "p0": 0.8, "eta": 0.3}]'], "--out"),
+        (["diag", "--n", "30", "--p0", "0.3", "--eta", "0.25"], "--out"),
+        (["oracle"], "--out"),
+    ])
+    def test_empty_output_path_is_a_parameter_error(
+            self, tmp_path, monkeypatch, capsys, argv, option):
+        # an empty path names no file: refused before any sampling, not
+        # written nowhere or failed at the sweep's last write
+        monkeypatch.chdir(tmp_path)
+        sampled = []
+        monkeypatch.setattr(harness, "sample_gnp", lambda *args: sampled.append(args))
+        monkeypatch.setattr(cli, "sample_gnp", lambda *args: sampled.append(args))
+        assert main(argv + [option, ""]) == 2
+        assert capsys.readouterr().err == "parameter error: cannot write \n"
+        assert sampled == [] and list(tmp_path.iterdir()) == []
+
     def test_run_has_no_floor_r(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--n", "40", "--p0", "0.9", "--eta", "0.3", "--floor-r", "2"])

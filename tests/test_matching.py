@@ -140,6 +140,11 @@ class TestHopcroftKarp:
         match = hopcroft_karp([[0], [0]], 1)
         assert sorted(match) == [-1, 0]
 
+    def test_vertex_without_neighbours(self):
+        # the greedy pass starts x's scan at x mod its degree, so an x with
+        # no neighbours must be skipped, not divided by
+        assert hopcroft_karp([[], [0]], 1) == [-1, 0]
+
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=100))
     @settings(max_examples=80, deadline=None)
     def test_regular_bipartite_has_perfect_matching(self, n, seed):
@@ -250,11 +255,17 @@ def _no_recursion_limit_change(monkeypatch):
 
 class TestIterativeHopcroftKarp:
     def test_augmenting_path_longer_than_the_recursion_limit(self, monkeypatch):
-        # x_i prefers y_{i+1}, so the greedy seed leaves x_m free and the
+        # the greedy pass scans x_i's list [y_{i+1}, y_i] from position
+        # i mod 2: an even x_i takes y_{i+1} first, and an odd x_i finds y_i
+        # taken by x_{i-1} and takes y_{i+1}.  That leaves x_m free, and the
         # only augmenting path runs through all m + 1 X vertices
         _no_recursion_limit_change(monkeypatch)
         m = 3 * sys.getrecursionlimit()
         adj_x = [[i + 1, i] for i in range(m)] + [[m]]
+        # without x_m's arc no phase can augment, so this is the greedy
+        # pass's matching of x_0 .. x_{m-1}, the same as with the arc: it
+        # takes y_m, x_m's only neighbour, so the greedy pass leaves x_m free
+        assert hopcroft_karp(adj_x[:m] + [[]], m + 1) == list(range(1, m + 1)) + [-1]
         with pytest.raises(RecursionError):
             recursive_hopcroft_karp(adj_x, m + 1)
         assert hopcroft_karp(adj_x, m + 1) == list(range(m + 1))

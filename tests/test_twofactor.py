@@ -255,12 +255,13 @@ class TestCycleStatistics:
 
 
 # SHA-256 of r, the extracted factor's sorted edges and the peeled 2-factors
-# at n=600, p0=1/6, eta=0.25, re-recorded when the balanced orientation
-# moved to closed trails.
+# at n=600, p0=1/6, eta=0.25, re-recorded when the factor became the
+# orientation minus a b-matching of arcs to drop and the peel's greedy
+# scans began at x mod degree.
 FRONT_DIGESTS = {
-    0: "a4bb3f2919c44f7d49d8ea1a234b16dff8b3aee89bed4f8ac8ea5623c2a6364d",
-    1: "5774e7b80b18a9eea4b4dae9d3c11bb92f2cd91f579ce1e6ca6211eafc21e802",
-    2: "2166d5bfde0f3b354cc9764fd40c31049a385750b7de2eda32d3b41c14dd622e",
+    0: "9e9d9babb268e6d73256ac4eb41a7923834d87e16cfb99684c0df36ceb81a6c3",
+    1: "d118224b1870ed523f35caa6b7a42a7ae56dc703ee69425a479b61b302daa3c7",
+    2: "cb9b847930c0eb287c80c96e34b98eee6ca96c31f80028c51ad71d6ab2c1c855",
 }
 
 
