@@ -205,21 +205,20 @@ def _factor_via_flow(g: Graph, r: int, rotate: int = 0) -> OrientedGraph | None:
     that drops out(x) - r/2 arcs at each tail x and in(y) - r/2 at each
     head y (Tutte 1952: an r-factor is G minus a (d - r)-factor); at the r
     extraction reaches that is about 30% of the arcs, against 70% for the
-    factor itself.  ``bipartite_b_matching`` with those capacities finds a
-    maximum drop set, so one short of the capacities' sum means this
-    orientation carries no factor: None.  The arcs kept, r/2 out and r/2 in
-    at every vertex, come back ascending as the ``OrientedGraph``'s ``out``
-    lists: the balanced orientation peeling needs.
+    factor itself.  Every edge of g is one arc, so in(y) = deg(y) - out(y)
+    takes no pass over the arcs.  ``bipartite_b_matching`` with those
+    capacities finds a maximum drop set, so one short of the capacities'
+    sum means this orientation carries no factor: None.  The arcs kept, r/2
+    out and r/2 in at every vertex, come back ascending as the
+    ``OrientedGraph``'s ``out`` lists: the balanced orientation peeling
+    needs.
     """
     assert r % 2 == 0
     half = r // 2
     out = balanced_orientation(g, rotate)
-    ind = [0] * g.n
-    for heads in out:
-        for w in heads:
-            ind[w] += 1
     cap_x = [len(heads) - half for heads in out]
-    drop = bipartite_b_matching(out, cap_x, [i - half for i in ind])
+    cap_y = [g.degree(y) - len(heads) - half for y, heads in enumerate(out)]
+    drop = bipartite_b_matching(out, cap_x, cap_y)
     if sum(map(len, drop)) != sum(cap_x):
         return None
     keep = [[w for w in heads if w not in d] if d else heads for heads, d in zip(out, drop)]

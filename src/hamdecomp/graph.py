@@ -48,6 +48,16 @@ class Graph:
         return g
 
     @classmethod
+    def from_lists(cls, adj: list[list[int]]) -> "Graph":
+        """Graph on vertices 0..len(adj)-1 whose neighbour lists are
+        ``adj``, kept, not copied.  The caller guarantees what ``from_pairs``
+        produces: each list ascending, v in adj[u] exactly when u in
+        adj[v], no self-loop; none of this is checked."""
+        g = cls.__new__(cls)
+        g.n, g._adj = len(adj), adj
+        return g
+
+    @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls.from_pairs(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
@@ -227,8 +237,10 @@ def balanced_orientation(g: Graph, rotate: int = 0) -> list[list[int]]:
     once the start has no unused edge left.  The virtual arcs are dropped.
     Edges are scanned in the order of g's lists, so with rotate = 0 each
     out-list ascends; `rotate` rotates each scan order, so retries explore
-    different orientations.  An edge {u, w} is marked used by the integer
-    min(u, w)·(n + 1) + max(u, w).
+    different orientations.  Each vertex's list is read once, through the
+    iterator ``unread[v]``: an edge walked out of v was consumed there, and
+    one walked into v, from w, is skipped because w is in v's arrival set
+    ``came[v]``.
     """
     n = g.n
     # g's own lists, read only: an odd vertex gets a new list, and
@@ -242,25 +254,21 @@ def balanced_orientation(g: Graph, rotate: int = 0) -> list[list[int]]:
         for v, nbrs in enumerate(adj):
             k = rotate % max(1, len(nbrs))
             adj[v] = nbrs[k:] + nbrs[:k]
-    big_n = n + 1
-    ptr = [0] * big_n
-    used: set[int] = set()
-    out: list[list[int]] = [[] for _ in range(big_n)]
-    for start in range(big_n):
-        u: int | None = start
-        while u is not None:
-            nbrs, k, step = adj[u], ptr[u], None
-            while k < len(nbrs):
-                w = nbrs[k]
-                k += 1
-                key = u * big_n + w if u < w else w * big_n + u
-                if key not in used:
-                    used.add(key)
-                    out[u].append(w)
-                    step = w
+    unread = [iter(nbrs) for nbrs in adj]
+    came: list[set[int]] = [set() for _ in adj]
+    out: list[list[int]] = [[] for _ in adj]
+    for start in range(n + 1):
+        u = start
+        while True:
+            arrived = came[u]
+            for w in unread[u]:
+                if w not in arrived:
                     break
-            ptr[u] = k
-            u = step
+            else:
+                break
+            out[u].append(w)
+            came[w].add(u)
+            u = w
     del out[n]
     for v in odd:
         if n in out[v]:

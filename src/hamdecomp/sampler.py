@@ -167,18 +167,30 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def split(g0: Graph, params: Params) -> SplitSample:
-    """Partition g0's edges: each goes to g1 with probability 1 - eta/4."""
+    """Partition g0's edges: each goes to g1 with probability 1 - eta/4.
+
+    The edges (u, v), u < v, are read from g0's lists in ascending order,
+    the order ``sample_gnp`` drew them in, one draw each, and each is
+    appended to u's and v's lists in g1 or g2.  A list first gets its
+    smaller neighbours, from the rows of smaller u, then its own row, so
+    every list ascends without a sort.  As in ``Graph.from_pairs``, each
+    vertex is named by one int object in both graphs."""
     keep = 1.0 - params.eta / 4.0
     draws = _uniforms(_rng(params.seed, STREAM_SPLIT))
-    to_g1: list[tuple[int, int]] = []
-    to_g2: list[tuple[int, int]] = []
-    # g0's edges (u, v), v > u, ascending: the order sample_gnp drew them in
-    for u in range(g0.n):
+    ids = list(range(g0.n))
+    adj1: list[list[int]] = [[] for _ in ids]
+    adj2: list[list[int]] = [[] for _ in ids]
+    for u, nbrs1, nbrs2 in zip(ids, adj1, adj2):
         nbrs = g0.adj(u)
         for v, x in zip(nbrs[bisect_right(nbrs, u):], draws):
-            (to_g1 if x < keep else to_g2).append((u, v))
-    return SplitSample(g0=g0, g1=Graph.from_pairs(g0.n, to_g1),
-                       g2=Graph.from_pairs(g0.n, to_g2), params=params)
+            if x < keep:
+                nbrs1.append(ids[v])
+                adj1[v].append(u)
+            else:
+                nbrs2.append(ids[v])
+                adj2[v].append(u)
+    return SplitSample(g0=g0, g1=Graph.from_lists(adj1), g2=Graph.from_lists(adj2),
+                       params=params)
 
 
 def degree_diagnostics(s: SplitSample) -> dict:

@@ -19,7 +19,7 @@ from hamdecomp.graph import (
     norm_edge,
 )
 from hamdecomp.matching import is_perfect, max_matching_general
-from hamdecomp.sampler import Params, sample_gnp
+from hamdecomp.sampler import Params, sample_gnp, split
 
 from cover_checks import check_cycle_cover, path_edges, validate_broken
 
@@ -238,15 +238,66 @@ def components_graph(rnd):
     return Graph.from_pairs(n, edges)
 
 
+def edge_key_orientation(g, rotate=0):
+    """Reference: the closed-trail walk with one pointer per vertex and one
+    global set of used edges, keyed min(u, w)·(n + 1) + max(u, w).  Each
+    step takes the first unused edge of the current vertex's (rotated)
+    list, as ``balanced_orientation`` must, so their out-lists are equal."""
+    n = g.n
+    adj = [list(g.adj(v)) for v in range(n)]
+    odd = [v for v in range(n) if len(adj[v]) % 2 == 1]
+    for v in odd:
+        adj[v].append(n)
+    adj.append(odd)
+    if rotate:
+        for v, nbrs in enumerate(adj):
+            k = rotate % max(1, len(nbrs))
+            adj[v] = nbrs[k:] + nbrs[:k]
+    big_n = n + 1
+    ptr, used = [0] * big_n, set()
+    out = [[] for _ in range(big_n)]
+    for start in range(big_n):
+        u = start
+        while u is not None:
+            nbrs, step = adj[u], None
+            while ptr[u] < len(nbrs):
+                w = nbrs[ptr[u]]
+                ptr[u] += 1
+                key = u * big_n + w if u < w else w * big_n + u
+                if key not in used:
+                    used.add(key)
+                    out[u].append(w)
+                    step = w
+                    break
+            u = step
+    del out[n]
+    for v in odd:
+        if n in out[v]:
+            out[v].remove(n)
+    return out
+
+
+def orientation_graphs():
+    """Graphs with odd-degree vertices, isolated vertices and several
+    components, plus n = 0, 1, 2."""
+    rnd = random.Random(11)
+    small = [Graph(0), Graph(1), Graph(2), Graph(2, [(0, 1)])]
+    graphs = small + [components_graph(rnd) for _ in range(150)]
+    assert any(g.degree(v) % 2 for g in graphs for v in range(g.n))
+    assert any(len(g.components()) > 1 for g in graphs)
+    assert any(g.degree(v) == 0 for g in graphs for v in range(g.n))
+    return graphs
+
+
 class TestBalancedOrientation:
-    def test_each_edge_is_one_arc_and_every_vertex_is_balanced(self):
-        rnd = random.Random(11)
-        small = [Graph(0), Graph(1), Graph(2), Graph(2, [(0, 1)])]
-        graphs = small + [components_graph(rnd) for _ in range(150)]
-        assert any(g.degree(v) % 2 for g in graphs for v in range(g.n))
-        assert any(len(g.components()) > 1 for g in graphs)
-        assert any(g.degree(v) == 0 for g in graphs for v in range(g.n))
+    def test_out_lists_equal_the_edge_key_walk(self):
+        graphs = orientation_graphs() + [sample_gnp(n, p, 3) for n, p in ((120, 0.3), (300, 0.1))]
         for g in graphs:
+            for rotate in range(3):
+                assert balanced_orientation(g, rotate) == edge_key_orientation(g, rotate), rotate
+
+    def test_each_edge_is_one_arc_and_every_vertex_is_balanced(self):
+        for g in orientation_graphs():
             before = [list(g.adj(v)) for v in range(g.n)]
             for rotate in range(3):
                 out = balanced_orientation(g, rotate)
@@ -436,9 +487,17 @@ def test_neighbour_lists_cost_under_40_bytes_per_edge():
 
 
 def test_from_pairs_lists_name_each_vertex_by_one_int():
-    # a sample draws a new int per edge; the lists keep n of them alive
+    # a sample draws a new int per edge; the lists keep n of them alive,
+    # and the split's G1 and G2 share one int per vertex between them
     g = sample_gnp(600, 0.1, 0)
-    assert len({id(u) for v in range(g.n) for u in g.adj(v)}) <= g.n
+    s = split(g, Params(600, 0.1, 0.25, 0))
+
+    def ids(*graphs):
+        return {id(u) for h in graphs for v in range(h.n) for u in h.adj(v)}
+
+    assert len(ids(g)) <= g.n
+    assert len(ids(s.g1)) <= g.n and len(ids(s.g2)) <= g.n
+    assert len(ids(s.g1, s.g2)) <= g.n
 
 
 # -- the neighbour lists are the only representation ---------------------------

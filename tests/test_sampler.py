@@ -1,6 +1,8 @@
 """Sampler: G(n,p) generation, the two-phase split, derived parameters,
 and the preflight diagnostics."""
 import math
+import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,8 @@ from hamdecomp.sampler import (
     STREAM_SAMPLE,
     STREAM_SPLIT,
     Params,
+    _rng,
+    _uniforms,
     degree_diagnostics,
     deviation_spotcheck,
     geometric_skips,
@@ -139,6 +143,47 @@ class TestSplit:
             if abs(s.g2.num_edges - mean) <= 0.15 * mean:
                 hits += 1
         assert hits >= 18
+
+
+def pair_split(g0, params):
+    """Reference: the split that collects G1's and G2's edges as (u, v)
+    tuples in draw order and builds each graph with ``Graph.from_pairs``;
+    ``split`` must give equal graphs without the tuples or the sort."""
+    keep = 1.0 - params.eta / 4.0
+    draws = _uniforms(_rng(params.seed, STREAM_SPLIT))
+    to_g1, to_g2 = [], []
+    for u in range(g0.n):
+        nbrs = g0.adj(u)
+        for v, x in zip(nbrs[bisect_right(nbrs, u):], draws):
+            (to_g1 if x < keep else to_g2).append((u, v))
+    return Graph.from_pairs(g0.n, to_g1), Graph.from_pairs(g0.n, to_g2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 40, 300])
+@pytest.mark.parametrize("p0", [0.0, 0.3, 1.0])
+def test_split_equals_the_pair_split(n, p0):
+    for seed in range(4):
+        g0 = sample_gnp(n, p0, seed)
+        # Params needs n >= 1; split reads only eta and seed
+        params = Params(n=max(n, 1), p0=p0, eta=0.25, seed=seed)
+        s = split(g0, params)
+        assert (s.g1, s.g2) == pair_split(g0, params)
+
+
+def test_split_costs_under_40_bytes_per_edge():
+    # the peak of everything split allocates, G1 and G2 included, is about
+    # 22 B per G0 edge; collecting the edges as tuples first costs about 88 B
+    n = 2000
+    params = Params(n=n, p0=0.05, eta=0.25, seed=0)
+    g0 = sample_gnp(n, params.p0, params.seed)
+    tracemalloc.start()
+    try:
+        s = split(g0, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.g1.num_edges + s.g2.num_edges == g0.num_edges
+    assert peak / g0.num_edges < 40
 
 
 class TestDiagnostics:
