@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from .factors import extract_with_retry
-from .graph import Graph, cycle_cover_edges, read_edge_list
+from .graph import Graph, read_edge_list
 from .rotation import ConversionResult, convert_all
 from .sampler import Params, sample_gnp, split
 from .twofactor import cycle_statistics, peel_all
@@ -82,14 +82,16 @@ class DecompositionResult:
 def _reverify(g0: Graph, cycles: list[list[int]]) -> list[list[int]]:
     """Independent audit at result construction: keep only cycles that pass
     Hamiltonicity and pairwise edge-disjointness.  ``run`` reports every
-    cycle left out as ``rotation_stats["dropped"]``."""
+    cycle left out as ``rotation_stats["dropped"]``.  Edges are compared as
+    keys u·n + v (u < v), built here and nowhere shared with conversion."""
+    n = g0.n
     good: list[list[int]] = []
-    used: set[tuple[int, int]] = set()
+    used: set[int] = set()
     for cyc in cycles:
         if not g0.verify_hamilton_cycle(cyc):
             continue
-        es = cycle_cover_edges([cyc])
-        if es & used:
+        es = {u * n + v if u < v else v * n + u for u, v in zip(cyc, cyc[1:] + cyc[:1])}
+        if not used.isdisjoint(es):
             continue
         used |= es
         good.append(cyc)
@@ -109,7 +111,8 @@ def run(
     def finish(result: DecompositionResult) -> DecompositionResult:
         if out_path:
             with open(out_path, "w") as fh:
-                json.dump(result.to_json_obj(), fh)
+                # json.dumps encodes in C; json.dump streams through Python
+                fh.write(json.dumps(result.to_json_obj()))
         return result
 
     def failed(phase: str) -> DecompositionResult:

@@ -11,10 +11,11 @@ rotation budgets when those are defined; the budgets never limit the search.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .graph import BrokenTwoFactor, Graph, cycle_cover_edges, norm_edge
+from .graph import BrokenTwoFactor, Graph, norm_edge
 from .sampler import Params
 
 
@@ -30,32 +31,44 @@ class TranscriptRecord:
 class GammaView:
     """Reservoir adjacency: host edges not in the committed set.
 
-    Each vertex's reservoir neighbours are its host neighbour list with the
-    committed edges left out, so they stay in ascending order, and ``has``
-    looks an edge up in the host's lists; no host edge set is built.  The
-    view owns the committed set it is given: ``take`` and ``give`` move
-    edges into and out of that set, so one view can follow a whole
+    An edge {u, v}, u < v, is named by its key u·n + v, with n the host's
+    vertex count; keys sort as the (u, v) tuples do.  The committed set
+    holds keys.  Each vertex's reservoir neighbours are its host neighbour
+    list with the committed edges left out, so they stay in ascending
+    order, and ``has`` looks an edge up in the host's lists; no host edge
+    set is built.  The view owns a key set it is given (a set of
+    ``norm_edge`` tuples is read into a new key set): ``take`` and ``give``
+    move keys into and out of that set, so one view can follow a whole
     conversion.
     """
 
-    def __init__(self, host: Graph, committed: set[tuple[int, int]]):
+    def __init__(self, host: Graph, committed: set[int] | set[tuple[int, int]]):
         self.host = host
+        if isinstance(next(iter(committed), None), tuple):
+            n = host.n
+            committed = {u * n + v for u, v in committed}
         self.committed = committed
 
     def adj(self, v: int) -> list[int]:
         """Reservoir neighbours of v in ascending order."""
-        return [u for u in self.host.adj(v) if norm_edge(u, v) not in self.committed]
+        nbrs, committed, n = self.host.adj(v), self.committed, self.host.n
+        # a neighbour u < v names the edge u·n + v, one above v names v·n + u
+        i = bisect_left(nbrs, v)
+        vn = v * n
+        return ([u for u in nbrs[:i] if u * n + v not in committed]
+                + [u for u in nbrs[i:] if vn + u not in committed])
 
     def has(self, u: int, v: int) -> bool:
-        return self.host.has_edge(u, v) and norm_edge(u, v) not in self.committed
+        n = self.host.n
+        return self.host.has_edge(u, v) and (u * n + v if u < v else v * n + u) not in self.committed
 
-    def take(self, edges) -> None:
-        """Commit edges: they leave the reservoir."""
-        self.committed.update(edges)
+    def take(self, keys) -> None:
+        """Commit edges, given by key: they leave the reservoir."""
+        self.committed.update(keys)
 
-    def give(self, edges) -> None:
-        """Release edges: they return to the reservoir."""
-        self.committed.difference_update(edges)
+    def give(self, keys) -> None:
+        """Release edges, given by key: they return to the reservoir."""
+        self.committed.difference_update(keys)
 
 
 # -- elementary moves ---------------------------------------------------------
@@ -68,11 +81,9 @@ def break_to_path(cycles: list[list[int]], n: int) -> tuple[BrokenTwoFactor, Tra
     smallest = min(min(c) for c in cycles)
     ci = next(i for i, c in enumerate(cycles) if smallest in c)
     cyc = cycles[ci]
-    k = len(cyc)
-    removed = min(norm_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k))
-    idx = next(
-        i for i in range(k) if norm_edge(cyc[i], cyc[(i + 1) % k]) == removed
-    )
+    keys = [u * n + v if u < v else v * n + u for u, v in zip(cyc, cyc[1:] + cyc[:1])]
+    idx = keys.index(min(keys))
+    removed = divmod(keys[idx], n)
     path = cyc[idx + 1 :] + cyc[: idx + 1]
     if path[0] > path[-1]:
         path = path[::-1]
@@ -383,7 +394,13 @@ class ConversionResult:
 
 
 # the audit's snapshot of the persistent committed set: (plus, minus)
-_Snapshot = tuple[set[tuple[int, int]], set[tuple[int, int]]]
+_Snapshot = tuple[set[int], set[int]]
+
+
+def _cover_keys(cycles: list[list[int]], n: int) -> set[int]:
+    """The keys u·n + v (u < v) of a cycle cover's edges."""
+    return {u * n + v if u < v else v * n + u
+            for cyc in cycles for u, v in zip(cyc, cyc[1:] + cyc[:1])}
 
 
 def convert_all(
@@ -395,13 +412,20 @@ def convert_all(
     audit: bool = False,
 ) -> ConversionResult:
     """Convert each 2-factor into a Hamilton cycle, in order, then retry the
-    abandoned ones once.  ``mode`` accepts only ``"report"``."""
+    abandoned ones once.  ``mode`` accepts only ``"report"``.
+
+    The edge sets of the bookkeeping (each factor's edges, F*, the
+    reservoir's committed set, the finished edges and the audit's sets)
+    hold integer keys u·n + v (u < v), as ``GammaView`` does; transcript
+    records, the ledger and the audit's messages keep (u, v) tuples, and
+    keys sort as those tuples do.
+    """
     if mode != "report":
         raise ValueError(f"unknown mode {mode!r}")
     n = g0.n
-    factor_edges = [cycle_cover_edges(f) for f in factors]
+    factor_edges = [_cover_keys(f, n) for f in factors]
 
-    finished_edges: set[tuple[int, int]] = set()
+    finished_edges: set[int] = set()
     hamilton: list[list[int]] = []
     per_factor: list[dict] = []
     ledger: list[StepRecord] = []
@@ -411,7 +435,8 @@ def convert_all(
     pending: set[int] = set(range(len(factors)))
     # the one reservoir of the conversion; every pending factor is committed
     gamma = GammaView(g0, set().union(*factor_edges))
-    g0_edges = g0.edges if audit else set()  # only the audit reads it
+    # only the audit reads it
+    g0_edges = {u * n + v for u in range(n) for v in g0.adj(u) if v > u} if audit else set()
     step = 0
     total_rot = 0
 
@@ -426,11 +451,11 @@ def convert_all(
     # pending factors' total size.  A snapshot of the persistent committed
     # set P is a pair (plus, minus) with P = (base − minus) ∪ plus and plus
     # disjoint from base: (F* − base, ∅) while P agrees with base ∪ F*.
-    base: set[tuple[int, int]] = set()
+    base: set[int] = set()
     base_in_g0 = True
     pending_size = 0
 
-    def snapshot(current: set[tuple[int, int]]) -> tuple[bool, set[tuple[int, int]], _Snapshot]:
+    def snapshot(current: set[int]) -> tuple[bool, set[int], _Snapshot]:
         """(in_sync, current − base, snapshot of P): in_sync says whether P
         equals base ∪ current, in one pass over base."""
         committed = gamma.committed
@@ -441,7 +466,7 @@ def convert_all(
         return False, fresh, (committed - base, base - committed)
 
     def audit_step(
-        current: set[tuple[int, int]],
+        current: set[int],
         current_size: int,
         before: _Snapshot,
         consumed: list[tuple[int, int]],
@@ -452,24 +477,27 @@ def convert_all(
         is built.  ``current_size`` is what F* adds to the parts' sizes
         (nothing once a close has moved it into the finished edges).
         Returns the snapshot of the persistent committed set for the next
-        step."""
+        step.  Messages name edges as sorted (u, v) tuples."""
         in_sync, fresh, after = snapshot(current)
         if not in_sync:
-            drift = sorted(e for e in gamma.committed ^ (base | current) if e in g0_edges)
+            drift = sorted(k for k in gamma.committed ^ (base | current) if k in g0_edges)
             if drift:
                 audit_failures.append(
-                    f"step {step}: persistent reservoir differs from recomputation on {drift}"
+                    f"step {step}: persistent reservoir differs from recomputation on "
+                    f"{[divmod(k, n) for k in drift]}"
                 )
         plus, minus = before
-        gained, consumed_set = minus | (fresh - plus), set(consumed)
+        gained, consumed_set = minus | (fresh - plus), {u * n + v for u, v in consumed}
         if gained != consumed_set:
             audit_failures.append(
-                f"step {step}: untraceable reservoir consumption {sorted(gained ^ consumed_set)}"
+                f"step {step}: untraceable reservoir consumption "
+                f"{[divmod(k, n) for k in sorted(gained ^ consumed_set)]}"
             )
-        freed, returned_set = plus - current, set(returned)
+        freed, returned_set = plus - current, {u * n + v for u, v in returned}
         if freed != returned_set:
             audit_failures.append(
-                f"step {step}: untraceable reservoir return {sorted(freed ^ returned_set)}"
+                f"step {step}: untraceable reservoir return "
+                f"{[divmod(k, n) for k in sorted(freed ^ returned_set)]}"
             )
         # finished, current, the pending factors and G0 minus the committed
         # set partition G0
@@ -490,12 +518,11 @@ def convert_all(
         if fi in transcripts:
             earlier_transcripts[fi, pass_no - 1] = transcripts[fi]
         transcripts[fi] = transcript
-        # F* holds the factor's own tuples, as the committed and finished
-        # sets do, so set operations between them match on identity
+        u, v = brec.deleted
         fstar = set(factor_edges[fi])
-        fstar.discard(brec.deleted)
+        fstar.discard(u * n + v)
         gamma.take(factor_edges[fi])
-        gamma.give([brec.deleted])
+        gamma.give([u * n + v])
         committed_before = snapshot(fstar)[2] if audit else None
         steps_here = rot_here = 0
 
@@ -505,11 +532,13 @@ def convert_all(
             for rec in records:
                 rec = apply(broken, rec)
                 transcript.append(rec)
-                fstar.add(rec.added)
-                gamma.take([rec.added])
+                u, v = rec.added
+                fstar.add(u * n + v)
+                gamma.take([u * n + v])
                 if rec.deleted:
-                    fstar.discard(rec.deleted)
-                    gamma.give([rec.deleted])
+                    u, v = rec.deleted
+                    fstar.discard(u * n + v)
+                    gamma.give([u * n + v])
 
         status, extra, done = "hamilton", {}, False
         while not done:
@@ -580,10 +609,10 @@ def convert_all(
     for fi in abandoned:
         # retry only if the original factor's edges are all free again;
         # checked per factor, since an earlier retry may have used them
-        if all(gamma.has(u, v) for u, v in factor_edges[fi]):
+        if all(gamma.has(*divmod(k, n)) for k in factor_edges[fi]):
             attempt(fi, pass_no=2)
 
-    g2_consumed = len(g2.edges & finished_edges)
+    g2_consumed = len({u * n + v for u in range(n) for v in g2.adj(u) if v > u} & finished_edges)
     return ConversionResult(
         hamilton_cycles=hamilton,
         per_factor=per_factor,

@@ -1,8 +1,11 @@
 """Harness and CLI: end-to-end runs, sweeps, the independent verifier,
 serialization formats, and exit codes."""
 import csv
+import hashlib
+import itertools
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,6 +39,18 @@ class TestRun:
         b = run(p)
         assert a.hamilton_cycles == b.hamilton_cycles
         assert a.csv_row()[:-1] == b.csv_row()[:-1]  # all but wall_ms
+
+    # SHA-256 of the result file of an audited run at n=60, p0=0.6, eta=0.3,
+    # seed 0 whose phase clock ticks by 0.25 s per read, recorded while the
+    # file was written by json.dump
+    RESULT_FILE_SHA256 = "c5d951a8ca2c023dcfd236812694ec4f54cf5e18678ae5340776eaddd211a768"
+
+    def test_result_file_bytes_pinned(self, tmp_path, monkeypatch):
+        ticks = itertools.count()
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 4))
+        out = tmp_path / "r.json"
+        run(Params(n=60, p0=0.6, eta=0.3, seed=0), out_path=str(out), audit=True)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.RESULT_FILE_SHA256
 
     def test_phase_failure_records_partial_result(self, tmp_path):
         out = tmp_path / "fail.json"
@@ -83,6 +98,14 @@ class TestDroppedCycles:
         corrupted = [0, 1, 2, 3, 0]
         kept = _reverify(g0, [first, corrupted, list(first), second])
         assert kept == [first, second]
+
+    def test_reverify_drops_a_cycle_reusing_an_edge_reversed(self):
+        # the second cycle walks first's edge 0 -> 1 as 1 -> 0 and shares no
+        # other edge with it; the third shares nothing with first
+        g0 = Graph.complete(7)
+        first, reuses, third = [0, 1, 2, 3, 4, 5, 6], [1, 0, 3, 5, 2, 6, 4], [0, 2, 4, 6, 1, 3, 5]
+        assert cycle_cover_edges([first]) & cycle_cover_edges([reuses]) == {(0, 1)}
+        assert _reverify(g0, [first, reuses, third]) == [first, third]
 
     def test_run_counts_dropped_cycles(self, monkeypatch):
         _convert_with_bad_cycles(monkeypatch)

@@ -34,6 +34,8 @@ REFERENCE_ORACLES = {
                               "`tutte_quantities`",
     "rotation.replay": "re-applies a transcript to its factor, to compare with the "
                        "converted cycle (criterion 5)",
+    "graph.cycle_cover_edges": "the (u, v) tuple edge set that criterion 3 and "
+                               "`cover_checks` compare against",
 }
 
 

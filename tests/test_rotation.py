@@ -35,6 +35,11 @@ from cover_checks import broken_edges, path_edges, validate_broken
 TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 
 
+def edge_key(n, u, v):
+    """The key u·n + v (u < v) by which conversion names the edge {u, v}."""
+    return u * n + v if u < v else v * n + u
+
+
 def apply_outcome(broken, outcome):
     """Apply a search outcome's rotations to ``broken``."""
     for pivot, deleted, added in outcome.rotations:
@@ -299,7 +304,7 @@ class TestRotationReach:
                     # close; with no off-path vertex nothing then ends the
                     # search, and a state's level is its number of cuts
                     head = broken.path[0]
-                    gamma.take([norm_edge(head, u) for u in gamma.adj(head)])
+                    gamma.take([edge_key(n, head, u) for u in gamma.adj(head)])
                     found, states = _grow_side(_RotatedPath(broken.path), gamma, set(),
                                                max_states=10**9, max_levels=16)
                     assert found is None
@@ -451,30 +456,29 @@ class TestConvertAll:
 class TestPersistentReservoir:
     def test_take_and_give_track_the_committed_set(self):
         host = Graph.complete(5)
-        gamma = GammaView(host, {(0, 1)})
+        gamma = GammaView(host, {edge_key(5, 0, 1)})
         assert gamma.adj(0) == [2, 3, 4]
-        gamma.take([(0, 2), (0, 3)])
+        gamma.take([edge_key(5, 0, 2), edge_key(5, 0, 3)])
         assert gamma.adj(0) == [4] and gamma.adj(2) == [1, 3, 4]
-        gamma.give([(0, 1), (0, 3)])
+        gamma.give([edge_key(5, 0, 1), edge_key(5, 0, 3)])
         assert gamma.adj(0) == [1, 3, 4]
-        assert gamma.committed == {(0, 2)}
+        assert gamma.committed == {edge_key(5, 0, 2)}
 
     def test_view_owns_the_committed_set(self):
-        # the view keeps the set it is given; take and give change that set
+        # the view keeps the key set it is given; take and give change it
         host = Graph.complete(4)
-        committed = {(0, 1), (2, 3)}
+        committed = {edge_key(4, 0, 1), edge_key(4, 2, 3)}
         gamma = GammaView(host, committed)
         assert gamma.committed is committed
-        gamma.take([(0, 2)])
-        gamma.give([(0, 1)])
-        assert committed == {(0, 2), (2, 3)}
+        gamma.take([edge_key(4, 0, 2)])
+        gamma.give([edge_key(4, 0, 1)])
+        assert committed == {edge_key(4, 0, 2), edge_key(4, 2, 3)}
         assert gamma.has(0, 1) and not gamma.has(0, 2)
         assert gamma.adj(0) == [1, 3] and gamma.adj(2) == [1]
-        # an edge already committed keeps its stored tuple, so sets built
-        # from the same factor tuples keep matching on identity
-        stored = next(e for e in committed if e == (2, 3))
-        gamma.take([tuple([2, 3])])
-        assert next(e for e in committed if e == (2, 3)) is stored
+        # taking an already committed edge leaves the set unchanged
+        before = set(committed)
+        gamma.take([edge_key(4, 3, 2)])
+        assert committed == before
 
     def test_audit_catches_a_reservoir_that_stops_following(self, monkeypatch):
         # a reservoir that never gets edges back drifts from the from-scratch
@@ -504,6 +508,69 @@ class TestPersistentReservoir:
         third = cycle_cover_edges(tf.factors[3])
         assert [len(cycle_cover_edges([cyc]) & third) for cyc in conv.hamilton_cycles] == [0] * (
             len(conv.hamilton_cycles) - 1) + [1]
+
+
+class TupleGammaView:
+    """The reservoir view as it was before edge keys: a set of (min, max)
+    tuples filtered per neighbour through ``norm_edge``.  The reference
+    that the key-based ``GammaView`` is compared against."""
+
+    def __init__(self, host, committed):
+        self.host = host
+        self.committed = committed
+
+    def adj(self, v):
+        return [u for u in self.host.adj(v) if norm_edge(u, v) not in self.committed]
+
+    def has(self, u, v):
+        return self.host.has_edge(u, v) and norm_edge(u, v) not in self.committed
+
+
+class TestEdgeKeys:
+    @pytest.mark.parametrize("n", [3, 40, 300])
+    def test_view_matches_the_tuple_reference(self, n):
+        rnd = random.Random(n)
+        for q in (0.1, 0.5, 1.0):
+            host = Graph.from_pairs(n, ((u, v) for u in range(n) for v in range(u + 1, n)
+                                        if rnd.random() < q))
+            edges = sorted(host.edges)
+            for share in (0.0, 0.3, 0.9):
+                committed = {e for e in edges if rnd.random() < share}
+                ref = TupleGammaView(host, set(committed))
+                keyed = GammaView(host, {edge_key(n, u, v) for u, v in committed})
+                from_tuples = GammaView(host, committed)
+                # take and give change both views by the same edges
+                moved = rnd.sample(edges, min(len(edges), 5))
+                ref.committed.update(moved[:3])
+                keyed.take([edge_key(n, v, u) for u, v in moved[:3]])
+                ref.committed.difference_update(moved[3:])
+                keyed.give([edge_key(n, u, v) for u, v in moved[3:]])
+                assert keyed.committed == {edge_key(n, u, v) for u, v in ref.committed}
+                assert from_tuples.committed == {edge_key(n, u, v) for u, v in committed}
+                for v in sorted({0, n - 1} | set(rnd.sample(range(n), min(n, 30)))):
+                    assert keyed.adj(v) == ref.adj(v), (q, share, v)
+                pairs = [(u, v) for u in range(n) for v in range(n)] if n <= 40 else [
+                    (rnd.randrange(n), rnd.randrange(n)) for _ in range(3000)
+                ] + [(0, n - 1), (n - 1, 0)] + [(v, u) for u, v in edges[:50]]
+                for u, v in pairs:
+                    # both orders, and u == v, which is never an edge
+                    assert keyed.has(u, v) == ref.has(u, v), (q, share, u, v)
+
+    @given(st.integers(min_value=2, max_value=500).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda e: e[0] != e[1]), max_size=40))))
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_keys_map_back_to_sorted_tuples(self, n_pairs):
+        n, pairs = n_pairs
+        keys = {edge_key(n, u, v) for u, v in pairs}
+        assert [divmod(k, n) for k in sorted(keys)] == sorted({norm_edge(u, v) for u, v in pairs})
+
+    def test_cover_keys_name_the_cover_edges(self):
+        cover = [[5, 3, 4], [2, 0, 1, 6]]
+        assert rotation._cover_keys(cover, 7) == {
+            edge_key(7, u, v) for u, v in cycle_cover_edges(cover)
+        }
 
 
 # SHA-256 of the Hamilton cycles and transcripts of convert_all at n=120,
@@ -666,7 +733,10 @@ def reservoir_fault(name):
 
     def take_a_stray_every_9th(self, edges):
         # the smallest reservoir edge is committed in place of the taken ones
-        real_take(self, edges if next(calls) % 9 else [min(self.host.edges - self.committed)])
+        if next(calls) % 9 == 0:
+            n = self.host.n
+            edges = [min({edge_key(n, u, v) for u, v in self.host.edges} - self.committed)]
+        real_take(self, edges)
 
     return {
         "none": {},
