@@ -34,14 +34,13 @@ class DecompositionResult:
     r_achieved: int = 0
     n_factors: int = 0
     hamilton_cycles: list[list[int]] = field(default_factory=list)
-    per_factor_outcomes: list[dict] = field(default_factory=list)
     rotation_stats: dict = field(default_factory=dict)
-    ledger: list = field(default_factory=list)
     cycle_stats: dict = field(default_factory=dict)
     phase_failed: str | None = None
     conversion: ConversionResult | None = field(default=None, repr=False)
 
     def to_json_obj(self) -> dict:
+        conv = self.conversion
         return {
             "schema": SCHEMA_VERSION,
             "params": self.params.to_dict(),
@@ -51,7 +50,7 @@ class DecompositionResult:
             "r_achieved": self.r_achieved,
             "factors": self.n_factors,
             "hamilton_cycles": self.hamilton_cycles,
-            "per_factor_outcomes": self.per_factor_outcomes,
+            "per_factor_outcomes": conv.per_factor if conv else [],
             "rotation_stats": self.rotation_stats,
             "cycle_stats": self.cycle_stats,
             "ledger": [
@@ -61,7 +60,7 @@ class DecompositionResult:
                     "returned": [list(e) for e in rec.returned],
                     "cap": rec.cap, "within_cap": rec.within_cap,
                 }
-                for rec in self.ledger
+                for rec in (conv.ledger if conv else [])
             ],
             "wall_times": self.wall_times,
             "phase_failed": self.phase_failed,
@@ -163,9 +162,7 @@ def run(
             r_achieved=r_achieved,
             n_factors=len(tf.factors),
             hamilton_cycles=verified,
-            per_factor_outcomes=conv.per_factor,
             rotation_stats=stats,
-            ledger=conv.ledger,
             cycle_stats=cycle_statistics(tf, params),
             wall_times=wall,
             conversion=conv,

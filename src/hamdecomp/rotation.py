@@ -182,7 +182,8 @@ def apply(broken: BrokenTwoFactor, rec: TranscriptRecord) -> TranscriptRecord:
 
 # re-anchored states the two-sided search tries on a spanning path
 TWO_SIDED_CAP = 40
-# BFS states and rotation depth one side of a search may reach
+# BFS states and rotation depth one side of a search may reach; read when
+# a search starts
 MAX_STATES = 2000
 MAX_LEVELS = 64
 
@@ -221,38 +222,23 @@ class _RotatedPath:
         most searches end at the root."""
         return {v: i for i, v in enumerate(self.path)}
 
-    def realize(self, cuts: tuple[int, ...]) -> list[int]:
-        """The path named by ``cuts``, built by copying."""
-        p = self.path
+    def realize(self, cuts: tuple[int, ...]) -> tuple[list[int], list]:
+        """The path named by ``cuts``, built by copying, and its rotations
+        in order as (pivot, deleted, added)."""
+        p, rotations = self.path, []
         for i in cuts:
+            rotations.append((p[i], norm_edge(p[i], p[i + 1]), norm_edge(p[i], p[-1])))
             p = p[: i + 1] + p[: i : -1]
-        return p
+        return p, rotations
 
-    def moves(
-        self,
-        cuts: tuple[int, ...],
-        touched: frozenset[int],
-        tail: int,
-        gamma: GammaView,
-        visited: set[int],
-    ):
-        """Yield (pivot, cut index, new tail) for each rotation of the path
-        named by ``cuts`` (with tail ``tail``) whose new tail is not in
-        ``visited``, in ascending pivot order.
-
-        ``touched`` holds the endpoints of every edge the rotations so far
-        deleted or added.  Any other vertex keeps its root neighbours, and a
-        new tail is always a neighbour of its pivot, so such a pivot whose
-        root neighbours are both visited is passed over without a lookup.
-        """
+    def moves(self, cuts: tuple[int, ...], tail: int, gamma: GammaView, visited: set[int]):
+        """Yield (cut index, new tail) for each rotation of the path named by
+        ``cuts`` (with tail ``tail``) whose new tail is not in ``visited``,
+        in ascending pivot order."""
         index, last, path = self.index, self.last, self.path
         for pivot in gamma.adj(tail):
             i = index.get(pivot)
             if i is None:
-                continue
-            if (pivot not in touched
-                    and (i == 0 or path[i - 1] in visited)
-                    and (i == last or path[i + 1] in visited)):
                 continue
             for c in cuts:
                 if i > c:
@@ -264,66 +250,60 @@ class _RotatedPath:
                 if j > c:
                     j = last + c + 1 - j
             if path[j] not in visited:
-                yield pivot, i, path[j]
+                yield i, path[j]
 
 
-# a BFS state: (cuts, rotation records, tail, touched vertices)
-_State = tuple[tuple[int, ...], list, int, frozenset[int]]
+# a BFS state: (cuts, tail)
+_State = tuple[tuple[int, ...], int]
 
 
 def _grow_side(
-    rooted: _RotatedPath,
-    gamma: GammaView,
-    offpath: set[int],
-    max_states: int,
-    max_levels: int,
+    rooted: _RotatedPath, gamma: GammaView, offpath: set[int]
 ) -> tuple[Outcome | None, list[_State]]:
-    """BFS over rotations of the tail with the head fixed.
+    """BFS over rotations of the tail with the head fixed, up to
+    ``MAX_STATES`` states and ``MAX_LEVELS`` rotations deep.
 
     Returns (outcome, states): the first Extend, else the first Close, else
     None.  An Extend ends the search, and so does a Close when no vertex is
     off the path, since nothing can then beat it.  States are created in
     order of depth, so ``states`` is also the BFS queue; they stay implicit
-    (see ``_RotatedPath``).
+    (see ``_RotatedPath``), and an outcome reads its rotations off its cuts.
     """
+    max_states, max_levels = MAX_STATES, MAX_LEVELS
     head = rooted.path[0]
     closable = rooted.last >= 2
-    root: _State = ((), [], rooted.path[-1], frozenset())
-    visited = {root[2]}
+    root: _State = ((), rooted.path[-1])
+    visited = {root[1]}
     states = [root]
     close = None
 
-    def stop(state: _State) -> Outcome | None:
-        """The outcome that ends the search at ``state``; its first Close is
-        kept in ``close``."""
+    def stop(cuts: tuple[int, ...], tail: int) -> Outcome | None:
+        """The outcome that ends the search at the state (cuts, tail); its
+        first Close is kept in ``close``."""
         nonlocal close
-        _, rots, tail, _ = state
         if offpath:
             entry = next((u for u in gamma.adj(tail) if u in offpath), None)
             if entry is not None:
-                return Outcome(kind="extend", rotations=rots, added=norm_edge(tail, entry))
+                return Outcome(kind="extend", rotations=rooted.realize(cuts)[1],
+                               added=norm_edge(tail, entry))
         if close is None and closable and gamma.has(tail, head):
-            close = Outcome(kind="close", rotations=rots, added=norm_edge(tail, head))
+            close = Outcome(kind="close", rotations=rooted.realize(cuts)[1],
+                            added=norm_edge(tail, head))
             if not offpath:
                 return close
         return None
 
-    found = stop(root)
+    found = stop(*root)
     if found:
         return found, states
-    for cuts, rots, tail, touched in states:
+    for cuts, tail in states:
         if len(cuts) >= max_levels or len(states) >= max_states:
             break
-        for pivot, i, new_tail in rooted.moves(cuts, touched, tail, gamma, visited):
+        for i, new_tail in rooted.moves(cuts, tail, gamma, visited):
             visited.add(new_tail)
-            state = (
-                cuts + (i,),
-                rots + [(pivot, norm_edge(pivot, new_tail), norm_edge(pivot, tail))],
-                new_tail,
-                touched | {pivot, new_tail, tail},
-            )
+            state = (cuts + (i,), new_tail)
             states.append(state)
-            found = stop(state)
+            found = stop(*state)
             if found:
                 return found, states
             if len(states) >= max_states:
@@ -331,12 +311,7 @@ def _grow_side(
     return close, states
 
 
-def posa_search(
-    broken: BrokenTwoFactor,
-    gamma: GammaView,
-    max_states: int = MAX_STATES,
-    max_levels: int = MAX_LEVELS,
-) -> Outcome:
+def posa_search(broken: BrokenTwoFactor, gamma: GammaView) -> Outcome:
     """Find an Extend or Close outcome by two-sided rotation BFS.
 
     The tail side is searched first, then the search re-anchors at reached
@@ -350,12 +325,12 @@ def posa_search(
     offpath = broken.offpath_vertices()
     spanning = not offpath
     side_a = _RotatedPath(broken.path)
-    found, states = _grow_side(side_a, gamma, offpath, max_states, max_levels)
+    found, states = _grow_side(side_a, gamma, offpath)
     if found and (spanning or found.kind == "extend"):
         return found
-    for cuts, rots, _, _ in states[: TWO_SIDED_CAP if spanning else 1]:
-        rooted = _RotatedPath(side_a.realize(cuts)[::-1])
-        other, _ = _grow_side(rooted, gamma, offpath, max_states, max_levels)
+    for cuts, _ in states[: TWO_SIDED_CAP if spanning else 1]:
+        path, rots = side_a.realize(cuts)
+        other, _ = _grow_side(_RotatedPath(path[::-1]), gamma, offpath)
         if other:
             other.rotations = rots + other.rotations
             if spanning or other.kind == "extend":
@@ -388,9 +363,12 @@ class ConversionResult:
     transcripts: dict[int, list[TranscriptRecord]]
     earlier_transcripts: dict[tuple[int, int], list[TranscriptRecord]]
     steps: int
-    total_rotations: int
     g2_consumed: int
     audit_failures: list[str]
+
+    @property
+    def total_rotations(self) -> int:
+        return sum(o["rotations"] for o in self.per_factor)
 
 
 # the audit's snapshot of the persistent committed set: (plus, minus)
@@ -438,7 +416,6 @@ def convert_all(
     # only the audit reads it
     g0_edges = {u * n + v for u in range(n) for v in g0.adj(u) if v > u} if audit else set()
     step = 0
-    total_rot = 0
 
     cap = None
     if params.budgets_defined:
@@ -507,7 +484,7 @@ def convert_all(
         return after
 
     def attempt(fi: int, pass_no: int) -> bool:
-        nonlocal step, total_rot, base, base_in_g0, pending_size
+        nonlocal step, base, base_in_g0, pending_size
         pending.discard(fi)
         if audit:
             base = finished_edges.union(*(factor_edges[i] for i in pending))
@@ -555,7 +532,6 @@ def convert_all(
                 for pivot, deleted, added in outcome.rotations)
             nrot = len(outcome.rotations)
             rot_here += nrot
-            total_rot += nrot
             done = outcome.kind == "close" and not broken.cycles
             if outcome.kind == "extend":
                 run([TranscriptRecord(step=step, kind="absorb", added=outcome.added)])
@@ -620,7 +596,6 @@ def convert_all(
         transcripts=transcripts,
         earlier_transcripts=earlier_transcripts,
         steps=step,
-        total_rotations=total_rot,
         g2_consumed=g2_consumed,
         audit_failures=audit_failures,
     )

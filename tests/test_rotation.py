@@ -1,6 +1,5 @@
 """Rotation engine: elementary moves, the search, conversion, and replay."""
 import ast
-import functools
 import hashlib
 import itertools
 import json
@@ -47,10 +46,11 @@ def apply_outcome(broken, outcome):
                                        deleted=deleted, added=added))
 
 
-def limit_search(monkeypatch, **limits):
-    """Make convert_all's searches run with the given ``posa_search``
-    limits; convert_all looks the search up at call time."""
-    monkeypatch.setattr(rotation, "posa_search", functools.partial(posa_search, **limits))
+def limit_search(monkeypatch, max_states=rotation.MAX_STATES, max_levels=rotation.MAX_LEVELS):
+    """Make every search run with the given limits; a search reads
+    ``rotation.MAX_STATES`` and ``MAX_LEVELS`` when it starts."""
+    monkeypatch.setattr(rotation, "MAX_STATES", max_states)
+    monkeypatch.setattr(rotation, "MAX_LEVELS", max_levels)
 
 
 def two_triangle_fixture(gamma_edges):
@@ -198,8 +198,9 @@ class TestPosaSearch:
         # added edge must come from the reservoir
         broken, gamma = random_broken(n, seed, q)
         path = broken.path
-        max_states, max_levels = limits
-        outcome = posa_search(broken, gamma, max_states=max_states, max_levels=max_levels)
+        with pytest.MonkeyPatch.context() as mp:
+            limit_search(mp, *limits)
+            outcome = posa_search(broken, gamma)
         if outcome.kind == "exhausted":
             return
         assert all(gamma.has(*added) for _, _, added in outcome.rotations)
@@ -219,9 +220,8 @@ class TestSearchStopRule:
     def test_spanning_root_close_builds_no_state(self):
         host = Graph.complete(8)
         path = list(range(8))
-        found, states = _grow_side(_RotatedPath(path), GammaView(host, path_edges(path)),
-                                   set(), max_states=2000, max_levels=64)
-        assert states == [((), [], 7, frozenset())]
+        found, states = _grow_side(_RotatedPath(path), GammaView(host, path_edges(path)), set())
+        assert states == [((), 7)]
         assert (found.kind, found.rotations, found.added) == ("close", [], (0, 7))
 
     def test_spanning_search_stops_at_its_first_close(self):
@@ -229,10 +229,10 @@ class TestSearchStopRule:
         # moves the tail to 2, which closes, so pivots 2-5 are never tried
         path = list(range(8))
         host = Graph(8, [e for e in Graph.complete(8).edges if e != (0, 7)])
-        found, states = _grow_side(_RotatedPath(path), GammaView(host, path_edges(path)),
-                                   set(), max_states=2000, max_levels=64)
-        assert [tail for _, _, tail, _ in states] == [7, 2]
-        assert found.rotations == states[-1][1] == [(1, (1, 2), (1, 7))]
+        rooted = _RotatedPath(path)
+        found, states = _grow_side(rooted, GammaView(host, path_edges(path)), set())
+        assert states == [((), 7), ((1,), 2)]
+        assert found.rotations == rooted.realize((1,))[1] == [(1, (1, 2), (1, 7))]
         assert (found.kind, found.added) == ("close", (0, 2))
 
 
@@ -249,18 +249,18 @@ def test_search_digest_pinned():
     for n in range(5, 31):
         for q in (0.05, 0.1, 0.2, 0.35):
             for seed in range(10):
-                for max_states, max_levels in SEARCH_LIMITS:
+                for limits in SEARCH_LIMITS:
                     broken, gamma = random_broken(n, seed, q)
-                    out = posa_search(broken, gamma, max_states=max_states,
-                                      max_levels=max_levels)
+                    with pytest.MonkeyPatch.context() as mp:
+                        limit_search(mp, *limits)
+                        out = posa_search(broken, gamma)
+                        if out.kind == "close" and not broken.offpath_vertices():
+                            found, _ = _grow_side(_RotatedPath(broken.path), gamma, set())
+                            reanchored += found is None
                     doc = [out.kind, [[p, list(d), list(a)] for p, d, a in out.rotations],
                            list(out.added) if out.added else None]
                     h.update(json.dumps(doc, separators=(",", ":")).encode())
                     exhausted += out.kind == "exhausted"
-                    if out.kind == "close" and not broken.offpath_vertices():
-                        found, _ = _grow_side(_RotatedPath(broken.path), gamma, set(),
-                                              max_states, max_levels)
-                        reanchored += found is None
     assert h.hexdigest() == SEARCH_DIGEST
     # the digest covers closes found only after re-anchoring
     assert (reanchored, exhausted) == (235, 1758)
@@ -305,10 +305,11 @@ class TestRotationReach:
                     # search, and a state's level is its number of cuts
                     head = broken.path[0]
                     gamma.take([edge_key(n, head, u) for u in gamma.adj(head)])
-                    found, states = _grow_side(_RotatedPath(broken.path), gamma, set(),
-                                               max_states=10**9, max_levels=16)
+                    with pytest.MonkeyPatch.context() as mp:
+                        limit_search(mp, max_states=10**9, max_levels=16)
+                        found, states = _grow_side(_RotatedPath(broken.path), gamma, set())
                     assert found is None
-                    levels = [len(cuts) for cuts, _, _, _ in states]
+                    levels = [len(cuts) for cuts, _ in states]
                     sizes = []
                     for level in range(1, 17):
                         sizes.append(sum(1 for k in levels if k <= level))
@@ -835,10 +836,10 @@ def test_audit_messages_digest_pinned(fault, monkeypatch):
     runs = []
     for seed in range(3):
         params, s, factors = pipeline_factors(48, seed)
-        for max_states, max_levels in AUDIT_LIMITS:
+        for limits in AUDIT_LIMITS:
             for attr, method in reservoir_fault(fault).items():
                 monkeypatch.setattr(GammaView, attr, method)
-            limit_search(monkeypatch, max_states=max_states, max_levels=max_levels)
+            limit_search(monkeypatch, *limits)
             conv = convert_all(factors, s.g0, s.g2, params, audit=True)
             monkeypatch.undo()
             runs.append({"audit_failures": conv.audit_failures,
@@ -859,8 +860,7 @@ def test_audit_messages_digest_pinned(fault, monkeypatch):
 def test_audit_only_observes(n, seed, limits, monkeypatch):
     params, s, factors = pipeline_factors(n, seed)
     if limits:
-        max_states, max_levels = limits
-        limit_search(monkeypatch, max_states=max_states, max_levels=max_levels)
+        limit_search(monkeypatch, *limits)
     plain, audited = (
         convert_all(factors, s.g0, s.g2, params, audit=audit) for audit in (False, True)
     )
