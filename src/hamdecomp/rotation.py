@@ -444,17 +444,16 @@ def convert_all(
 
     def audit_step(
         current: set[int],
-        current_size: int,
         before: _Snapshot,
         consumed: list[tuple[int, int]],
         returned: list[tuple[int, int]],
     ) -> _Snapshot:
         """Check the step against the committed set recomputed as base ∪
         ``current``; the reservoir is G0 minus that set, so no G0-sized set
-        is built.  ``current_size`` is what F* adds to the parts' sizes
-        (nothing once a close has moved it into the finished edges).
-        Returns the snapshot of the persistent committed set for the next
-        step.  Messages name edges as sorted (u, v) tuples."""
+        is built.  A step that closes a cycle is checked before F* joins
+        the finished edges.  Returns the snapshot of the persistent
+        committed set for the next step.  Messages name edges as sorted
+        (u, v) tuples."""
         in_sync, fresh, after = snapshot(current)
         if not in_sync:
             drift = sorted(k for k in gamma.committed ^ (base | current) if k in g0_edges)
@@ -478,7 +477,7 @@ def convert_all(
             )
         # finished, current, the pending factors and G0 minus the committed
         # set partition G0
-        sizes = len(finished_edges) + current_size + pending_size
+        sizes = len(finished_edges) + len(current) + pending_size
         if sizes != len(base) + len(fresh) or not (base_in_g0 and fresh <= g0_edges):
             audit_failures.append(f"edge conservation broken at step {step}")
         return after
@@ -566,12 +565,11 @@ def convert_all(
                            consumed=consumed_net, returned=returned_net,
                            cap=cap, within_cap=within)
             )
+            if audit:
+                committed_before = audit_step(fstar, committed_before, consumed_net, returned_net)
             if done:
                 finished_edges.update(fstar)
                 hamilton.append(list(broken.path))
-            if audit:
-                committed_before = audit_step(fstar, 0 if done else len(fstar),
-                                              committed_before, consumed_net, returned_net)
         per_factor.append(
             {"factor": fi, "outcome": status, "steps": steps_here,
              "rotations": rot_here, "pass": pass_no, **extra}

@@ -681,8 +681,10 @@ def test_audit_flags_a_factor_edge_outside_g0(cover, missing, steps, monkeypatch
 # n=60, p0=0.6, eta=0.3: for each run, the steps at which each of the three
 # original audit checks reported, re-recorded when the factor became the
 # orientation minus a b-matching of arcs to drop and the peel's greedy
-# scans began at x mod degree.  The give_drop7 fault drops every 7th ``give``
-# call, so its rows pin the number of those calls too.
+# scans began at x mod degree; the take_off conservation steps re-recorded
+# when a closing step was first audited before F* joins the finished edges.
+# The give_drop7 fault drops every 7th ``give`` call, so its rows pin the
+# number of those calls too.
 AUDIT_KINDS = {
     "persistent reservoir differs": "drift",
     "untraceable reservoir consumption": "consumption",
@@ -691,19 +693,19 @@ AUDIT_KINDS = {
 AUDIT_VERDICTS = {
     (0, "none"): {},
     (0, "give_off"): {"drift": "1-29"},
-    (0, "take_off"): {"drift": "1-32", "consumption": "2-32", "conservation": "9-10"},
+    (0, "take_off"): {"drift": "1-32", "consumption": "2-32", "conservation": "9-11,14,17,26,30"},
     (0, "give_drop7"): {"drift": "6-32"},
     (1, "none"): {},
     (1, "give_off"): {"drift": "1-34"},
-    (1, "take_off"): {"drift": "1-34", "consumption": "2-34", "conservation": "26"},
+    (1, "take_off"): {"drift": "1-34", "consumption": "2-34", "conservation": "15,25-27,29"},
     (1, "give_drop7"): {"drift": "7-34"},
     (2, "none"): {},
     (2, "give_off"): {"drift": "1-37"},
-    (2, "take_off"): {"drift": "1-37", "consumption": "2-37", "conservation": "36"},
+    (2, "take_off"): {"drift": "1-37", "consumption": "2-37", "conservation": "15,18,36-37"},
     (2, "give_drop7"): {"drift": "5-37"},
     (3, "none"): {},
     (3, "give_off"): {"drift": "1-48"},
-    (3, "take_off"): {"drift": "1-48", "consumption": "2-48", "conservation": "25-27,44-45"},
+    (3, "take_off"): {"drift": "1-48", "consumption": "2-48", "conservation": "14,25-28,31,34,44-46,48"},
     (3, "give_drop7"): {"drift": "5-48"},
 }
 
@@ -786,6 +788,29 @@ def test_audit_verdicts_under_faults_pinned(seed, fault, monkeypatch):
         assert conv.audit_failures == []
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_audit_flags_a_closed_cycle_that_reuses_a_finished_edge(seed, monkeypatch):
+    # with take_off nothing is committed, so a later cycle may reuse an
+    # edge of an earlier one; the step that closes it must break edge
+    # conservation, since its cycle's edges cannot be both finished and new
+    params, s, factors = pipeline_factors(60, seed)
+    monkeypatch.setattr(GammaView, "take", lambda self, edges: None)
+    conv = convert_all(factors, s.g0, s.g2, params, audit=True)
+    closing = [conv.transcripts[o["factor"]][-1].step
+               for o in conv.per_factor if o["outcome"] == "hamilton"]
+    assert len(closing) == len(conv.hamilton_cycles)
+    earlier, reusing = set(), []
+    for step, cyc in zip(closing, conv.hamilton_cycles):
+        edges = cycle_cover_edges([cyc])
+        if edges & earlier:
+            reusing.append(step)
+        earlier |= edges
+    assert reusing
+    flagged = {int(re.search(r"step (\d+)", msg).group(1))
+               for msg in conv.audit_failures if "edge conservation broken" in msg}
+    assert set(reusing) <= flagged
+
+
 def test_audit_traces_returned_edges(monkeypatch):
     # a reservoir that never gets edges back still holds what each step
     # released; the return check names those edges, in sorted order, and
@@ -817,16 +842,18 @@ def pipeline_factors(n, seed, p0=0.6, eta=0.3):
 # eta=0.3, seeds 0-2, with the default search limits and with
 # max_states=2, max_levels=1; re-recorded when the factor became the
 # orientation minus a b-matching of arcs to drop and the peel's greedy
-# scans began at x mod degree.
+# scans began at x mod degree, and again (give_swap9, take_drop5,
+# take_frees9, take_off, take_swap9) when a closing step was first audited
+# before F* joins the finished edges.
 AUDIT_DIGESTS = {
     "none": "3e75c950a21b5b81ee76b16fc421fe7d1616f98ab4d0cb538f93ebe89f99aa05",
     "give_off": "4ac17cdcb8b1a572f276169bacfed88bf3adef06413fe83b51624ec83741f841",
-    "take_off": "df1810490b3306d19524fd1294118c692e38bf5032a76acbb1737c36dee5e152",
+    "take_off": "82fec3d377955ba91616dc228cb10f71f10ceff81504129d51e5c1b3b344798d",
     "give_drop7": "9c2a2f32fb0e061cadb0e2b751e26f067d01475ccb065ba977dbad738943f9c8",
-    "take_drop5": "1ed5e5d61e1ec7784533022694d13d0f16ef303a54b538bc25d052a9d6dc6d62",
-    "take_frees9": "ba48a488445daa3090fe1d1e6677a2e35680a931af142215ace9a6320cfe4203",
-    "give_swap9": "0426b30cc59013c38c868deb219fefbaa423b1a37be022dfff98991f76de3cfe",
-    "take_swap9": "533661472a429306d0520cfa663ebaf0b1cee4b5d3ff1b2faa83d2998f71eb67",
+    "take_drop5": "4d9667ff7c48b3dcfd8fec2ff32c0828f79499d9f2f59a265abb83de11fb1551",
+    "take_frees9": "f510ae5c8a7c965dccf7648a94394deff77f3f51be3435ba77a4e2b6389b3b8e",
+    "give_swap9": "c15001c0871f41127ebc166b09e7811b2b901d7cfc2f9c11cd4c519d4c9fce4a",
+    "take_swap9": "64d69557dfac5db20a0a83f3c314cf9dde0f9272edad45badcec4ef5ad49bee1",
 }
 AUDIT_LIMITS = [(2000, 64), (2, 1)]
 
