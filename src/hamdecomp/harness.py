@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -201,12 +202,16 @@ def sweep(
         w.writerow(CSV_HEADER)
         w.writerows(rows)
     errors = [(params, tb) for params, (_, tb) in zip(cells, results) if tb]
+    errors_path = out_path + ".errors.txt"
     if errors:
         # the CSV keeps one line per failed cell; the causes go beside it
-        with open(out_path + ".errors.txt", "w") as fh:
+        with open(errors_path, "w") as fh:
             for params, tb in errors:
                 fh.write(f"# n={params.n} p0={params.p0} eta={params.eta} "
                          f"seed={params.seed}\n{tb}\n")
+    elif os.path.exists(errors_path):
+        # an earlier sweep's causes would name cells that now succeed
+        os.remove(errors_path)
     return rows
 
 

@@ -495,6 +495,9 @@ def convert_all(
             earlier_transcripts[fi, pass_no - 1] = transcripts[fi]
         transcripts[fi] = transcript
         u, v = brec.deleted
+        # F* starts with the factor's own key objects, which the committed
+        # set also holds, so the audit's subset checks can match on
+        # identity; deriving F* from ``broken`` measured about 30% slower
         fstar = set(factor_edges[fi])
         fstar.discard(u * n + v)
         gamma.take(factor_edges[fi])

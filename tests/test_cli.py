@@ -187,7 +187,11 @@ class TestSweep:
         assert errors.startswith("# n=40 p0=0.8 eta=0.3 seed=1\nTraceback")
         assert "in run_or_raise" in errors and "RuntimeError: cell exploded" in errors
 
-    def test_clean_sweep_writes_no_error_file(self, tmp_path):
+    @pytest.mark.parametrize("stale", [False, True], ids=["fresh", "stale"])
+    def test_clean_sweep_writes_no_error_file(self, tmp_path, stale):
+        # a clean sweep also removes the causes an earlier sweep left there
+        if stale:
+            (tmp_path / "s.csv.errors.txt").write_text("# n=40 seed=0\nTraceback\n")
         sweep([Params(n=40, p0=0.8, eta=0.3, seed=0)], 1, str(tmp_path / "s.csv"))
         assert not (tmp_path / "s.csv.errors.txt").exists()
 

@@ -9,6 +9,12 @@ only test-only code calls is test-only too (found by dropping test-only
 definitions until none is left to drop).  The exceptions are the
 reference oracles that tests compare the pipeline against.
 
+The same goes for parameters with a default: each must be passed, by
+keyword or by position, by some call in those three roots to a function of
+that name (a class's ``__init__`` by a call to the class).  A default that
+no such call overrides is a setting only tests change.  The exceptions are
+allowlisted with the test that needs them.
+
 The scan matches names, not what they resolve to, so it misses a test-only
 method whose name is a common word (a method ``add`` is referenced by every
 ``set.add``) or is shared with another definition (two ``to_json_obj``
@@ -36,6 +42,13 @@ REFERENCE_ORACLES = {
                        "converted cycle (criterion 5)",
     "graph.cycle_cover_edges": "the (u, v) tuple edge set that criterion 3 and "
                                "`cover_checks` compare against",
+}
+
+# "module.function(parameter)" -> why only tests pass it
+TEST_SET_DEFAULTS = {
+    "cli.main(argv)": "tests drive the command line in-process",
+    "graph.Graph.__init__(edges)": "criteria 2, 4, 5 and 7 build graphs from edge lists",
+    "rotation.convert_all(mode)": "criterion 7 passes mode=\"report\"",
 }
 
 
@@ -132,3 +145,73 @@ def test_only_reference_oracles_are_test_only():
 def test_every_allowlisted_oracle_exists_and_is_test_only():
     # an entry whose code is gone, or now used by the pipeline, goes too
     assert sorted(REFERENCE_ORACLES.keys() - set(named_only_by_tests())) == []
+
+
+def defaulted_parameters(trees: dict[Path, ast.Module]) -> list[tuple[str, str, str, int | None]]:
+    """(qualified function name, name a call uses, parameter, position in
+    a call or None for keyword-only) of each parameter with a default of
+    the package's top-level functions and their classes' methods."""
+    out = []
+    for q, name, node in definitions(trees) + [
+        (f"{q}.__init__", name, sub)
+        for q, name, cls in definitions(trees) if isinstance(cls, ast.ClassDef)
+        for sub in cls.body if isinstance(sub, ast.FunctionDef) and sub.name == "__init__"
+    ]:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        # a method call passes self (or cls) implicitly
+        shift = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        first = len(positional) - len(args.defaults)
+        out.extend((q, name, a.arg, i - shift)
+                   for i, a in enumerate(positional) if i >= first)
+        out.extend((q, name, a.arg, None)
+                   for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    return out
+
+
+def passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether ``call`` passes ``param``: by keyword, through ``**``, or at
+    or beyond its position (a ``*`` argument covers every later one)."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(a, ast.Starred) or i == position
+               for i, a in enumerate(call.args[: position + 1]))
+
+
+def defaults_only_tests_set() -> list[str]:
+    trees = parsed()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return [f"{q}({param})" for q, name, param, pos in defaulted_parameters(trees)
+            if not any(passes(c, param, pos) for c in calls.get(name, []))]
+
+
+def test_passes_matches_keywords_positions_and_unpacking():
+    call = ast.parse("f(a, b, key=1)").body[0].value
+    assert passes(call, "key", None) and passes(call, "x", 1) and not passes(call, "x", 2)
+    assert not passes(call, "other", None)
+    assert passes(ast.parse("f(*args)").body[0].value, "x", 3)
+    assert passes(ast.parse("f(**kw)").body[0].value, "other", None)
+
+
+def test_scan_sees_defaulted_parameters():
+    found = {(q, p) for q, _, p, _ in defaulted_parameters(parsed())}
+    assert {("rotation.convert_all", "audit"), ("graph.Graph.__init__", "edges"),
+            ("cli.main", "argv")} <= found
+
+
+def test_only_allowlisted_defaults_are_set_only_by_tests():
+    assert sorted(set(defaults_only_tests_set()) - TEST_SET_DEFAULTS.keys()) == []
+
+
+def test_every_allowlisted_default_is_set_only_by_tests():
+    assert sorted(TEST_SET_DEFAULTS.keys() - set(defaults_only_tests_set())) == []
