@@ -151,12 +151,12 @@ def defaulted_parameters(trees: dict[Path, ast.Module]) -> list[tuple[str, str, 
     """(qualified function name, name a call uses, parameter, position in
     a call or None for keyword-only) of each parameter with a default of
     the package's top-level functions and their classes' methods."""
+    defs = definitions(trees)
+    inits = [(f"{q}.__init__", name, sub)
+             for q, name, cls in defs if isinstance(cls, ast.ClassDef)
+             for sub in cls.body if isinstance(sub, ast.FunctionDef) and sub.name == "__init__"]
     out = []
-    for q, name, node in definitions(trees) + [
-        (f"{q}.__init__", name, sub)
-        for q, name, cls in definitions(trees) if isinstance(cls, ast.ClassDef)
-        for sub in cls.body if isinstance(sub, ast.FunctionDef) and sub.name == "__init__"
-    ]:
+    for q, name, node in defs + inits:
         if not isinstance(node, ast.FunctionDef):
             continue
         args = node.args
@@ -172,8 +172,8 @@ def defaulted_parameters(trees: dict[Path, ast.Module]) -> list[tuple[str, str, 
 
 
 def passes(call: ast.Call, param: str, position: int | None) -> bool:
-    """Whether ``call`` passes ``param``: by keyword, through ``**``, or at
-    or beyond its position (a ``*`` argument covers every later one)."""
+    """Whether ``call`` passes ``param``: by keyword, through ``**``, at its
+    position, or through a ``*`` argument at or before that position."""
     if any(kw.arg in (param, None) for kw in call.keywords):
         return True
     if position is None:
