@@ -203,7 +203,7 @@ def read_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:
     skipped.  Raises ValueError unless the text is an "n m" header with
     n >= 0 followed by exactly m lines of m distinct edges, none a self-loop
     and each within 0..n-1."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in text.splitlines() if ln and not ln.isspace() and ln[0] != "#"]
     if not lines:
         raise ValueError("the graph file has no header")
     n, m = map(int, lines[0].split())
@@ -216,7 +216,7 @@ def read_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:
             raise ValueError(f"self-loop at {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"vertex out of range: {(u, v)}")
-        edges.add(norm_edge(u, v))
+        edges.add((u, v) if u < v else (v, u))
     if len(edges) != m:
         raise ValueError(f"header claims {m} edges, parsed {len(edges)}")
     if len(lines) - 1 != m:

@@ -421,20 +421,46 @@ def convert_all(
     if params.budgets_defined:
         cap = 2 * params.e0 + 2 * params.e1 + 2
 
-    # The audit recomputes the committed set as base ∪ F*.  Within one
-    # attempt only F* changes (the finished edges grow at its close, by F*),
-    # so base (the finished edges and the pending factors) is rebuilt from
-    # scratch once per attempt, together with whether it lies in G0 and the
-    # pending factors' total size.  A snapshot of the persistent committed
-    # set P is a pair (plus, minus) with P = (base − minus) ∪ plus and plus
-    # disjoint from base: (F* − base, ∅) while P agrees with base ∪ F*.
-    base: set[int] = set()
-    base_in_g0 = True
+    # The audit recomputes the committed set as base ∪ F*, where base is the
+    # finished edges and the pending factors; within one attempt only F*
+    # changes (the finished edges grow at its close, by F*).  A snapshot of
+    # the persistent committed set P is a pair (plus, minus) with
+    # P = (base − minus) ∪ plus and plus disjoint from base: (F* − base, ∅)
+    # while P agrees with base ∪ F*.  Each step first tests P against the
+    # parts themselves, with nothing built: while the finished edges and the
+    # pending factors are pairwise disjoint (``disjoint``) and F* shares no
+    # key with them, P is their union exactly when every part lies in P and
+    # their sizes add up to |P|.  Only when that test fails is base built,
+    # once for the attempt, and P compared with base ∪ F*.  Whether base lies
+    # in G0 is read off flags kept per factor and for the finished edges.
+    base: set[int] | None = None
     pending_size = 0
+    # factors that share an edge keep every step on the built base
+    disjoint = audit and len(gamma.committed) == sum(map(len, factor_edges))
+    factor_in_g0 = [f <= g0_edges for f in factor_edges] if audit else []
+    finished_in_g0 = base_in_g0 = True
+
+    def in_base(keys) -> bool:
+        """Whether any of ``keys`` is a finished edge or a pending factor's."""
+        return any(k in finished_edges or any(k in factor_edges[i] for i in pending)
+                   for k in keys)
+
+    def parts_agree(current: set[int]) -> bool:
+        """Whether P is the union of the finished edges, the pending factors
+        and ``current``, when the caller knows these to be pairwise disjoint:
+        one pass over the parts."""
+        committed = gamma.committed
+        return (len(committed) == len(finished_edges) + pending_size + len(current)
+                and current <= committed and finished_edges <= committed
+                and all(factor_edges[i] <= committed for i in pending))
 
     def snapshot(current: set[int]) -> tuple[bool, set[int], _Snapshot]:
         """(in_sync, current − base, snapshot of P): in_sync says whether P
-        equals base ∪ current, in one pass over base."""
+        equals base ∪ current, in one pass over base, which is built on the
+        attempt's first call."""
+        nonlocal base
+        if base is None:
+            base = finished_edges.union(*(factor_edges[i] for i in pending))
         committed = gamma.committed
         fresh = current - base
         if (len(committed) == len(base) + len(fresh)
@@ -442,27 +468,45 @@ def convert_all(
             return True, fresh, (fresh, set())
         return False, fresh, (committed - base, base - committed)
 
+    def first_snapshot(current: set[int]) -> _Snapshot:
+        """The snapshot of P at an attempt's start, when ``current`` is part
+        of the attempt's factor, so no pending factor shares a key with it
+        while ``disjoint`` holds."""
+        if disjoint and finished_edges.isdisjoint(current) and parts_agree(current):
+            return set(current), set()
+        return snapshot(current)[2]
+
     def audit_step(
         current: set[int],
         before: _Snapshot,
         consumed: list[tuple[int, int]],
         returned: list[tuple[int, int]],
-    ) -> _Snapshot:
+    ) -> tuple[_Snapshot, set[int]]:
         """Check the step against the committed set recomputed as base ∪
         ``current``; the reservoir is G0 minus that set, so no G0-sized set
         is built.  A step that closes a cycle is checked before F* joins
         the finished edges.  Returns the snapshot of the persistent
-        committed set for the next step.  Messages name edges as sorted
-        (u, v) tuples."""
-        in_sync, fresh, after = snapshot(current)
-        if not in_sync:
-            drift = sorted(k for k in gamma.committed ^ (base | current) if k in g0_edges)
-            if drift:
-                audit_failures.append(
-                    f"step {step}: persistent reservoir differs from recomputation on "
-                    f"{[divmod(k, n) for k in drift]}"
-                )
+        committed set for the next step, and current − base.  Messages name
+        edges as sorted (u, v) tuples."""
         plus, minus = before
+        # plus is disjoint from base, so current is when its keys outside
+        # plus are; then the parts' test stands for base's, with the same
+        # snapshot (a copy: F* keeps changing) and sizes that add up
+        if disjoint and not in_base(current - plus) and parts_agree(current):
+            fresh = set(current)
+            after = (fresh, set())
+            sizes_add_up = True
+        else:
+            in_sync, fresh, after = snapshot(current)
+            if not in_sync:
+                drift = sorted(k for k in gamma.committed ^ (base | current) if k in g0_edges)
+                if drift:
+                    audit_failures.append(
+                        f"step {step}: persistent reservoir differs from recomputation on "
+                        f"{[divmod(k, n) for k in drift]}"
+                    )
+            sizes = len(finished_edges) + len(current) + pending_size
+            sizes_add_up = sizes == len(base) + len(fresh)
         gained, consumed_set = minus | (fresh - plus), {u * n + v for u, v in consumed}
         if gained != consumed_set:
             audit_failures.append(
@@ -477,17 +521,16 @@ def convert_all(
             )
         # finished, current, the pending factors and G0 minus the committed
         # set partition G0
-        sizes = len(finished_edges) + len(current) + pending_size
-        if sizes != len(base) + len(fresh) or not (base_in_g0 and fresh <= g0_edges):
+        if not (sizes_add_up and base_in_g0 and fresh <= g0_edges):
             audit_failures.append(f"edge conservation broken at step {step}")
-        return after
+        return after, fresh
 
     def attempt(fi: int, pass_no: int) -> bool:
-        nonlocal step, base, base_in_g0, pending_size
+        nonlocal step, base, base_in_g0, pending_size, disjoint, finished_in_g0
         pending.discard(fi)
         if audit:
-            base = finished_edges.union(*(factor_edges[i] for i in pending))
-            base_in_g0 = base <= g0_edges
+            base = None
+            base_in_g0 = finished_in_g0 and all(factor_in_g0[i] for i in pending)
             pending_size = sum(len(factor_edges[i]) for i in pending)
         broken, brec = break_to_path(factors[fi], n)
         transcript = [brec]
@@ -502,7 +545,7 @@ def convert_all(
         fstar.discard(u * n + v)
         gamma.take(factor_edges[fi])
         gamma.give([u * n + v])
-        committed_before = snapshot(fstar)[2] if audit else None
+        committed_before = first_snapshot(fstar) if audit else None
         steps_here = rot_here = 0
 
         def run(records) -> None:
@@ -569,8 +612,14 @@ def convert_all(
                            cap=cap, within_cap=within)
             )
             if audit:
-                committed_before = audit_step(fstar, committed_before, consumed_net, returned_net)
+                committed_before, fresh = audit_step(fstar, committed_before,
+                                                     consumed_net, returned_net)
             if done:
+                if audit:
+                    # F* joins the finished edges, which stay disjoint from
+                    # the pending factors if F* shared no key with base
+                    disjoint = disjoint and len(fresh) == len(fstar)
+                    finished_in_g0 = finished_in_g0 and fstar <= g0_edges
                 finished_edges.update(fstar)
                 hamilton.append(list(broken.path))
         per_factor.append(

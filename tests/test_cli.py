@@ -332,6 +332,24 @@ class TestVerify:
         verdict = verify_result(str(out), str(graph_out))
         assert verdict == {"ok": False, "cycle": 0, "reason": f"repeated vertex {cyc[0]}"}
 
+    @pytest.mark.parametrize("cycle,reason", [
+        # reuses (0, 1) first, and (2, 4) is no edge further on
+        ([0, 1, 4, 2, 3], "edge (0, 1) reused"),
+        # (2, 4) is no edge, and (0, 1) is reused further on
+        ([2, 4, 1, 0, 3], "missing edge (2, 4)"),
+        # walks the first cycle's edge 2 -> 3 as 3 -> 2
+        ([3, 2, 0, 4, 1], "edge (2, 3) reused"),
+    ])
+    def test_names_the_first_bad_edge_in_cycle_order(self, tmp_path, cycle, reason):
+        # K5 minus (2, 4); the first cycle is valid
+        result, graph = tmp_path / "r.json", tmp_path / "g.txt"
+        edges = [e for e in sorted(Graph.complete(5).edges) if e != (2, 4)]
+        graph.write_text(f"5 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        result.write_text(json.dumps({"params": {"n": 5}, "achieved_cycles": 2,
+                                      "hamilton_cycles": [[0, 1, 2, 3, 4], cycle]}))
+        assert verify_result(str(result), str(graph)) == {"ok": False, "cycle": 1,
+                                                          "reason": reason}
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_no_cycle_is_certified_below_three_vertices(self, tmp_path, n):
         # a Hamilton cycle needs at least 3 vertices, whatever is listed

@@ -164,6 +164,18 @@ class TestSerialization:
         assert graph.read_edge_list(text) == (3, {(0, 1), (1, 2), (0, 2)})
         assert Graph.from_text(text) == Graph.cycle(3)
 
+    def test_reader_skips_whitespace_lines_but_not_indented_comments(self):
+        assert graph.read_edge_list("3 1\n\t \n# c\n1 0\n") == (3, {(0, 1)})
+        # only a line whose first character is "#" is a comment
+        with pytest.raises(ValueError):
+            graph.read_edge_list("3 1\n # x\n0 1\n")
+        with pytest.raises(ValueError):
+            graph.read_edge_list("3 1\n0 1 2\n")
+
+    def test_reader_names_an_out_of_range_edge_as_written(self):
+        with pytest.raises(ValueError, match=r"^vertex out of range: \(3, 0\)$"):
+            graph.read_edge_list("3 1\n3 0\n")
+
     @given(random_graph_strategy())
     def test_roundtrip_property(self, g):
         assert Graph.from_text(g.to_text()) == g

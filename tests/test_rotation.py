@@ -677,6 +677,38 @@ def test_audit_flags_a_factor_edge_outside_g0(cover, missing, steps, monkeypatch
     assert conv.audit_failures == [f"edge conservation broken at step {s}" for s in steps]
 
 
+# Cover lists that repeat a cover share edges between factors, so the
+# finished edges and the pending factors overlap and the audit must compare
+# the committed set with their union built for the attempt.  The message
+# counts and SHA-256 of audit_failures (compact JSON) were recorded before
+# the audit first tested the parts of the committed set one by one.
+SHARED_COVER_AUDITS = {
+    (0, 0): (23, "76acb959c3384eaa391b4b4af4d70eb6276519c483cba59752a2473bb5d3c230"),
+    (1, 0, 1): (19, "761abaf7580eb32d53604ce5fdb7b544174d59e5c6d3e782698f73b89cf74c6f"),
+}
+
+
+@pytest.mark.parametrize("covers", sorted(SHARED_COVER_AUDITS))
+def test_audit_of_covers_that_share_edges_pinned(covers, monkeypatch):
+    edges = set(DEADEND_EXTRA)
+    for c in DEADEND_COVERS:
+        edges |= cycle_cover_edges(c)
+    g0 = Graph(16, sorted(edges))
+    params = Params(n=16, p0=0.3, eta=0.05, seed=0)
+    factors = [DEADEND_COVERS[i] for i in covers]
+    limit_search(monkeypatch, max_levels=2)
+    plain, audited = (
+        convert_all(factors, g0, Graph(16), params, audit=audit) for audit in (False, True)
+    )
+    assert audited.hamilton_cycles == plain.hamilton_cycles
+    assert audited.per_factor == plain.per_factor
+    count, digest = SHARED_COVER_AUDITS[covers]
+    assert len(audited.audit_failures) == count
+    got = hashlib.sha256(
+        json.dumps(audited.audit_failures, separators=(",", ":")).encode()).hexdigest()
+    assert got == digest
+
+
 # The audit's verdicts with the persistent reservoir broken on purpose, at
 # n=60, p0=0.6, eta=0.3: for each run, the steps at which each of the three
 # original audit checks reported, re-recorded when the factor became the
