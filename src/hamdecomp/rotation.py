@@ -435,7 +435,9 @@ def convert_all(
     # in G0 is read off flags kept per factor and for the finished edges.
     base: set[int] | None = None
     pending_size = 0
-    # factors that share an edge keep every step on the built base
+    # the factors are pairwise disjoint and the finished edges share no key
+    # with a pending factor; factors that share an edge keep every step on
+    # the built base
     disjoint = audit and len(gamma.committed) == sum(map(len, factor_edges))
     factor_in_g0 = [f <= g0_edges for f in factor_edges] if audit else []
     finished_in_g0 = base_in_g0 = True
