@@ -256,7 +256,7 @@ def extract_r_factor(g1: Graph, r: int) -> Graph | None:
 
 
 def _assert_regular(f: Graph, r: int) -> None:
-    bad = [v for v in range(f.n) if f.degree(v) != r]
+    bad = [v for v, d in enumerate(f.degrees()) if d != r]
     if bad:
         raise AssertionError(f"factor not {r}-regular at vertices {bad[:5]}")
 

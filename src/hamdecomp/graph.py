@@ -98,12 +98,15 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
+    def degrees(self) -> list[int]:
+        return list(map(len, self._adj))
+
     def adj(self, v: int) -> list[int]:
         """Neighbours in ascending order; treat as read-only."""
         return self._adj[v]
 
     def min_degree(self) -> int:
-        return min((len(s) for s in self._adj), default=0)
+        return min(self.degrees(), default=0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
@@ -174,27 +177,39 @@ class Graph:
 
 
 class OrientedGraph(Graph):
-    """A Graph that also stores an orientation of its edges: ``out[v]``
-    lists the heads of the arcs leaving v, ascending.  Treat both the
-    neighbour lists and ``out`` as read-only."""
+    """A Graph stored as an orientation, ``out[v]`` the ascending heads of the
+    arcs leaving v, and its in-degrees; the first query that reads neighbour
+    lists (``edges``, ``adj``, ``==``, ...) builds them.  ``out`` is read-only."""
 
-    __slots__ = ("out",)
+    __slots__ = ("out", "_ind")
 
     @classmethod
     def from_out(cls, out: list[list[int]]) -> "OrientedGraph":
-        """The graph whose edges are the arcs v -> w, w in ``out[v]``; no
-        edge may appear as two arcs.  ``out`` is kept, not copied."""
-        n = len(out)
-        g = cls.from_pairs(n, ((v, w) if v < w else (w, v) for v in range(n) for w in out[v]))
-        g.out = out
-        return g
-
-    def in_degrees(self) -> list[int]:
-        ind = [0] * self.n
-        for heads in self.out:
+        """The graph whose edges are the arcs v -> w, w in ``out[v]`` (no edge
+        as two arcs): ``out`` is kept, not copied, and no neighbour list is built."""
+        ind = [0] * len(out)
+        for heads in out:
             for w in heads:
                 ind[w] += 1
-        return ind
+        g = cls.__new__(cls)
+        g.n, g.out, g._ind = len(out), out, ind
+        return g
+
+    def __getattr__(self, name: str):
+        if name != "_adj":  # only an unset slot gets here: build the lists once
+            raise AttributeError(name)
+        arcs = ((v, w) if v < w else (w, v) for v, heads in enumerate(self.out) for w in heads)
+        self._adj = Graph.from_pairs(self.n, arcs)._adj
+        return self._adj
+
+    def degree(self, v: int) -> int:
+        return len(self.out[v]) + self._ind[v]
+
+    def degrees(self) -> list[int]:
+        return [len(heads) + i for heads, i in zip(self.out, self._ind)]
+
+    def in_degrees(self) -> list[int]:
+        return self._ind[:]
 
 
 def read_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:

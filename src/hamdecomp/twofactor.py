@@ -8,6 +8,7 @@ matchings; each matching is a permutation without fixed points or
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Graph, OrientedGraph, balanced_orientation
@@ -58,36 +59,35 @@ class TwoFactorSet:
 
 
 def peel_all(h: Graph, r: int) -> TwoFactorSet:
-    """Peel an r-regular graph into exactly r/2 edge-disjoint 2-factors."""
-    degs = {h.degree(v) for v in range(h.n)}
+    """Peel an r-regular graph into exactly r/2 edge-disjoint 2-factors,
+    reading only its degrees and its orientation's out- and in-degrees."""
+    degs = set(h.degrees())
     if len(degs) != 1:
         raise ValueError(f"host not regular: degrees {sorted(degs)[:5]}")
     deg = degs.pop()
     if r != deg or r % 2 == 1:
         raise ValueError(f"need even regular degree, got r={r}, degree={deg}")
     o = euler_orient(h)
-    # the bipartite double (x -> y per arc) is peeled from copies of the
-    # orientation's out-lists, so a factor is never changed; ind tracks its
-    # in-degrees.  The balance check: out = in = r/2 on an r-regular host
+    # the bipartite double (x -> y per arc) is peeled from copies of the out-lists,
+    # so a factor is never changed.  The balance check: out = in = r/2
     adj_x = [list(heads) for heads in o.out]
-    ind = o.in_degrees()
     expected = r // 2
-    if any(len(heads) != expected for heads in adj_x) or any(i != expected for i in ind):
+    balanced = [expected] * h.n
+    if list(map(len, adj_x)) != balanced or o.in_degrees() != balanced:
         raise AssertionError(f"double not {expected}-regular before round 0")
     tf = TwoFactorSet(host=h)
     for round_idx in range(expected):
-        # the double stays regular: each round removes one out-arc per x
-        # (list.remove raises otherwise) and one in-arc per y (checked below)
-        left = expected - round_idx
         # a regular bipartite graph always has a perfect matching
         match = hopcroft_karp(adj_x, h.n)
         if -1 in match:
             raise ValueError("bipartite double has no perfect matching (input not regular?)")
-        for x, y in enumerate(match):
-            adj_x[x].remove(y)
-            ind[y] -= 1
-            if ind[y] < left - 1:
-                raise AssertionError(f"round {round_idx} matched {y} twice")
+        # the double stays regular: a permutation takes one in-arc per y (else the first
+        # y seen twice is named), and list.remove one out-arc per x, keeping list order
+        if len(set(match)) != h.n:
+            seen: set[int] = set()
+            y = next(y for y in match if y in seen or seen.add(y))
+            raise AssertionError(f"round {round_idx} matched {y} twice")
+        deque(map(list.remove, adj_x, match), 0)
         tf.factors.append(matching_to_2factor(match))
     return tf
 

@@ -454,6 +454,31 @@ class TestFactorViaFlow:
         assert _factor_via_flow(g, 2, 0) is None
         self.check(g, 2, 1)
 
+    # rotate = 0 and the retries' rotated scans, each checked to succeed
+    @pytest.mark.parametrize("n,seed,rotate", [(60, 0, 0), (60, 0, 2), (120, 3, 0), (120, 3, 1)])
+    def test_queries_answer_as_the_graph_of_its_arcs(self, n, seed, rotate):
+        params = Params(n=n, p0=0.5, eta=0.25, seed=seed)
+        g = split(sample_gnp(params.n, params.p0, params.seed), params).g1
+        _, r = extract_with_retry(g, params.r1)
+        f, fresh = _factor_via_flow(g, r, rotate), _factor_via_flow(g, r, rotate)
+        assert f is not None and fresh is not None
+        arcs = [(v, w) if v < w else (w, v) for v, heads in enumerate(f.out) for w in heads]
+        plain = Graph.from_pairs(n, sorted(arcs))
+        # degree queries first, while nothing has read the neighbour lists
+        degrees = [plain.degree(v) for v in range(n)]
+        assert [f.degree(v) for v in range(n)] == degrees and f.min_degree() == plain.min_degree()
+        ind = f.in_degrees()
+        ind[0] += 1
+        ind.clear()
+        assert [f.degree(v) for v in range(n)] == degrees and f.in_degrees() == [r // 2] * n
+        assert f.edges == plain.edges and f.num_edges == plain.num_edges
+        assert all(f.has_edge(u, v) == plain.has_edge(u, v)
+                   for u in range(-1, n + 1) for v in range(-1, n + 1))
+        assert [f.adj(v) for v in range(n)] == [plain.adj(v) for v in range(n)]
+        assert [f.degree(v) for v in range(n)] == degrees and f.min_degree() == plain.min_degree()
+        assert f.to_text() == plain.to_text()
+        assert f == plain and plain == fresh and fresh == f
+
 
 # r from extract_with_retry at p0 = 100/n, eta = 0.25, graph seeds 0-9,
 # recorded with the Dinic flow that the b-matching search replaced; both

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hamdecomp.factors import extract_r_factor, extract_with_retry
+from hamdecomp.factors import FLOW_FASTPATH_MIN_N, extract_r_factor, extract_with_retry
 from hamdecomp.graph import Graph, OrientedGraph, balanced_orientation, cycle_cover_edges
 from hamdecomp.sampler import Params, sample_gnp, split
 from hamdecomp import twofactor
@@ -99,6 +99,37 @@ class TestBipartiteDouble:
 
         monkeypatch.setattr(twofactor, "hopcroft_karp", doubled)
         with pytest.raises(AssertionError, match=r"round 0 matched \d+ twice"):
+            peel_all(Graph.complete(7), 6)
+
+    def test_doubled_partner_is_named(self, monkeypatch):
+        # x = 3 takes another of its heads, which the x that holds it also
+        # keeps: the message names that head, the first y seen twice
+        doubled_y = []
+
+        def doubled(adj, n):
+            match = hopcroft_karp(adj, n)
+            match[3] = next(y for y in adj[3] if y != match[3])
+            doubled_y.append(match[3])
+            return match
+
+        monkeypatch.setattr(twofactor, "hopcroft_karp", doubled)
+        with pytest.raises(AssertionError, match=r"round 0 matched \d+ twice") as err:
+            peel_all(Graph.complete(7), 6)
+        assert str(err.value) == f"round 0 matched {doubled_y[0]} twice"
+
+    def test_permutation_off_the_out_lists_is_caught(self, monkeypatch):
+        # two x swap partners so that one of them gets a y that is not its
+        # head: still a permutation, but not a matching of the double
+        def swapped(adj, n):
+            match = hopcroft_karp(adj, n)
+            a, b = next((a, b) for a in range(n) for b in range(n)
+                        if a != b and match[b] not in adj[a])
+            match[a], match[b] = match[b], match[a]
+            assert sorted(match) == list(range(n))
+            return match
+
+        monkeypatch.setattr(twofactor, "hopcroft_karp", swapped)
+        with pytest.raises(ValueError, match="not in list"):
             peel_all(Graph.complete(7), 6)
 
 
@@ -212,6 +243,25 @@ class TestOrientOnce:
         first, second = peel_all(f, r), peel_all(f, r)
         assert first.factors == second.factors
         assert [f.adj(v) for v in range(f.n)] == adj and f.out == out
+
+    def test_extraction_and_peel_build_no_neighbour_lists(self, monkeypatch):
+        # the flow route's factor is its orientation: nothing on the way
+        # from G1 to the 2-factors rebuilds a graph from pairs
+        params = Params(n=120, p0=0.3, eta=0.25, seed=1)
+        g1 = split(sample_gnp(params.n, params.p0, params.seed), params).g1
+        assert g1.n >= FLOW_FASTPATH_MIN_N
+        calls = []
+        from_pairs = Graph.from_pairs.__func__
+
+        def counted(cls, n, pairs):
+            calls.append(n)
+            return from_pairs(cls, n, pairs)
+
+        monkeypatch.setattr(Graph, "from_pairs", classmethod(counted))
+        f, r = extract_with_retry(g1, params.r1)
+        tf = peel_all(f, r)
+        assert isinstance(f, OrientedGraph) and len(tf.factors) == r // 2
+        assert calls == []
 
     @pytest.mark.parametrize("n,r", [(30, 4), (60, 3)])
     def test_gadget_factor_is_peeled_through_hierholzer(self, n, r, monkeypatch):
