@@ -8,6 +8,8 @@ cycle or close it.  The search proposes each move as a transcript record and
 through ``apply``, so a transcript replays bit-exactly.  A ledger, derived
 from each step's records, reports per-step reservoir consumption against the
 rotation budgets when those are defined; the budgets never limit the search.
+An optional audit, one object called when an attempt starts and when each
+step ends, checks the reservoir against a recomputation and only observes.
 """
 from __future__ import annotations
 
@@ -371,14 +373,121 @@ class ConversionResult:
         return sum(o["rotations"] for o in self.per_factor)
 
 
-# the audit's snapshot of the persistent committed set: (plus, minus)
-_Snapshot = tuple[set[int], set[int]]
-
-
 def _cover_keys(cycles: list[list[int]], n: int) -> set[int]:
     """The keys u·n + v (u < v) of a cycle cover's edges."""
     return {u * n + v if u < v else v * n + u
             for cyc in cycles for u, v in zip(cyc, cyc[1:] + cyc[:1])}
+
+
+class _ConversionAudit:
+    """The conversion audit: checks at each step that the reservoir follows
+    the bookkeeping, and only observes it.
+
+    It recomputes the committed set as base ∪ F*, where base is the
+    finished edges and the pending factors; within one attempt only F*
+    changes (the finished edges grow at its close, by F*).  A snapshot of
+    the persistent committed set P is a pair (plus, minus) with
+    P = (base − minus) ∪ plus and plus disjoint from base: (F* − base, ∅)
+    while P agrees with base ∪ F*.  Each snapshot first tests P against the
+    parts themselves, with nothing built: while the finished edges and the
+    pending factors are pairwise disjoint (``disjoint``) and F* shares no
+    key with them, P is their union exactly when every part lies in P and
+    their sizes add up to |P|.  Only when that test fails is base built,
+    once for the attempt, and P compared with base ∪ F*.  Whether base lies
+    in G0 is read off flags kept per factor and for the finished edges.
+    The reservoir is G0 minus the committed set, so no G0-sized set is
+    built.  Messages name edges as sorted (u, v) tuples and go to
+    ``failures``.
+    """
+
+    def __init__(self, g0: Graph, gamma: GammaView, factor_edges: list[set[int]],
+                 pending: set[int], finished: set[int]):
+        n = self.n = g0.n
+        self.g0_edges = {u * n + v for u in range(n) for v in g0.adj(u) if v > u}
+        self.gamma, self.factor_edges = gamma, factor_edges
+        self.pending, self.finished = pending, finished
+        # the factors are pairwise disjoint and the finished edges share no
+        # key with a pending factor; factors that share an edge keep every
+        # step on the built base
+        self.disjoint = len(gamma.committed) == sum(map(len, factor_edges))
+        self.factor_in_g0 = [f <= self.g0_edges for f in factor_edges]
+        self.finished_in_g0 = self.base_in_g0 = True
+        self.base: set[int] | None = None
+        self.pending_size = 0
+        self.before: tuple[set[int], set[int]] = (set(), set())
+        self.failures: list[str] = []
+
+    def _snapshot(self, current: set[int], unknown: set[int]):
+        """(in_sync, current − base, snapshot of P): in_sync says whether P
+        equals base ∪ ``current``, where ``unknown`` holds the keys of
+        ``current`` that may lie in base.  The parts' test needs no base;
+        otherwise base is built on the attempt's first such call and P is
+        compared with it in one pass."""
+        committed, finished, factors = self.gamma.committed, self.finished, self.factor_edges
+        pending = self.pending
+        if (self.disjoint and finished.isdisjoint(unknown)
+                and not any(k in factors[i] for k in unknown for i in pending)
+                and len(committed) == len(finished) + self.pending_size + len(current)
+                and current <= committed and finished <= committed
+                and all(factors[i] <= committed for i in pending)):
+            # a copy: F* keeps changing
+            fresh = set(current)
+            return True, fresh, (fresh, set())
+        if self.base is None:
+            self.base = finished.union(*(factors[i] for i in pending))
+        base = self.base
+        fresh = current - base
+        if (len(committed) == len(base) + len(fresh)
+                and base <= committed and fresh <= committed):
+            return True, fresh, (fresh, set())
+        return False, fresh, (committed - base, base - committed)
+
+    def attempt_started(self, fstar: set[int]) -> None:
+        """Take the snapshot of P once an attempt has committed its factor
+        and broken it into ``fstar``."""
+        pending, factors, in_g0 = self.pending, self.factor_edges, self.factor_in_g0
+        self.base = None
+        self.base_in_g0 = self.finished_in_g0 and all(in_g0[i] for i in pending)
+        self.pending_size = sum(len(factors[i]) for i in pending)
+        # while ``disjoint`` holds, F* shares no key with a pending factor,
+        # since it lies in its own
+        self.before = self._snapshot(fstar, fstar & self.finished)[2]
+
+    def step_ended(self, step: int, fstar: set[int], consumed: list[tuple[int, int]],
+                   returned: list[tuple[int, int]], closed: bool) -> None:
+        """Check a step against base ∪ ``fstar`` and its ledger row.  A step
+        that closes the cycle is checked before F* joins the finished
+        edges."""
+        n, fail = self.n, self.failures.append
+        plus, minus = self.before
+        # plus is disjoint from base, so F* is when its keys outside plus are
+        in_sync, fresh, self.before = self._snapshot(fstar, fstar - plus)
+        base = self.base
+        if not in_sync:
+            drift = sorted((self.gamma.committed ^ (base | fstar)) & self.g0_edges)
+            if drift:
+                fail(f"step {step}: persistent reservoir differs from recomputation on "
+                     f"{[divmod(k, n) for k in drift]}")
+        gained, consumed_set = minus | (fresh - plus), {u * n + v for u, v in consumed}
+        if gained != consumed_set:
+            fail(f"step {step}: untraceable reservoir consumption "
+                 f"{[divmod(k, n) for k in sorted(gained ^ consumed_set)]}")
+        freed, returned_set = plus - fstar, {u * n + v for u, v in returned}
+        if freed != returned_set:
+            fail(f"step {step}: untraceable reservoir return "
+                 f"{[divmod(k, n) for k in sorted(freed ^ returned_set)]}")
+        # finished, F*, the pending factors and G0 minus the committed set
+        # partition G0: the sizes add up when those parts are pairwise
+        # disjoint, which the parts' test proves when it leaves base unbuilt
+        sizes = len(self.finished) + len(fstar) + self.pending_size
+        if not ((base is None or sizes == len(base) + len(fresh))
+                and self.base_in_g0 and fresh <= self.g0_edges):
+            fail(f"edge conservation broken at step {step}")
+        if closed:
+            # F* joins the finished edges, which stay disjoint from the
+            # pending factors if F* shared no key with base
+            self.disjoint = self.disjoint and len(fresh) == len(fstar)
+            self.finished_in_g0 = self.finished_in_g0 and fstar <= self.g0_edges
 
 
 def convert_all(
@@ -391,6 +500,11 @@ def convert_all(
 ) -> ConversionResult:
     """Convert each 2-factor into a Hamilton cycle, in order, then retry the
     abandoned ones once.  ``mode`` accepts only ``"report"``.
+
+    ``audit`` checks every step against a recomputation of the reservoir
+    (``_ConversionAudit``); it only observes, so the cycles, ledger and
+    transcripts are those of an unaudited run, and its messages become
+    ``ConversionResult.audit_failures`` (empty without the audit).
 
     The edge sets of the bookkeeping (each factor's edges, F*, the
     reservoir's committed set, the finished edges and the audit's sets)
@@ -409,131 +523,20 @@ def convert_all(
     ledger: list[StepRecord] = []
     transcripts: dict[int, list[TranscriptRecord]] = {}
     earlier_transcripts: dict[tuple[int, int], list[TranscriptRecord]] = {}
-    audit_failures: list[str] = []
     pending: set[int] = set(range(len(factors)))
     # the one reservoir of the conversion; every pending factor is committed
     gamma = GammaView(g0, set().union(*factor_edges))
-    # only the audit reads it
-    g0_edges = {u * n + v for u in range(n) for v in g0.adj(u) if v > u} if audit else set()
+    auditor = (_ConversionAudit(g0, gamma, factor_edges, pending, finished_edges)
+               if audit else None)
     step = 0
 
     cap = None
     if params.budgets_defined:
         cap = 2 * params.e0 + 2 * params.e1 + 2
 
-    # The audit recomputes the committed set as base ∪ F*, where base is the
-    # finished edges and the pending factors; within one attempt only F*
-    # changes (the finished edges grow at its close, by F*).  A snapshot of
-    # the persistent committed set P is a pair (plus, minus) with
-    # P = (base − minus) ∪ plus and plus disjoint from base: (F* − base, ∅)
-    # while P agrees with base ∪ F*.  Each step first tests P against the
-    # parts themselves, with nothing built: while the finished edges and the
-    # pending factors are pairwise disjoint (``disjoint``) and F* shares no
-    # key with them, P is their union exactly when every part lies in P and
-    # their sizes add up to |P|.  Only when that test fails is base built,
-    # once for the attempt, and P compared with base ∪ F*.  Whether base lies
-    # in G0 is read off flags kept per factor and for the finished edges.
-    base: set[int] | None = None
-    pending_size = 0
-    # the factors are pairwise disjoint and the finished edges share no key
-    # with a pending factor; factors that share an edge keep every step on
-    # the built base
-    disjoint = audit and len(gamma.committed) == sum(map(len, factor_edges))
-    factor_in_g0 = [f <= g0_edges for f in factor_edges] if audit else []
-    finished_in_g0 = base_in_g0 = True
-
-    def in_base(keys) -> bool:
-        """Whether any of ``keys`` is a finished edge or a pending factor's."""
-        return any(k in finished_edges or any(k in factor_edges[i] for i in pending)
-                   for k in keys)
-
-    def parts_agree(current: set[int]) -> bool:
-        """Whether P is the union of the finished edges, the pending factors
-        and ``current``, when the caller knows these to be pairwise disjoint:
-        one pass over the parts."""
-        committed = gamma.committed
-        return (len(committed) == len(finished_edges) + pending_size + len(current)
-                and current <= committed and finished_edges <= committed
-                and all(factor_edges[i] <= committed for i in pending))
-
-    def snapshot(current: set[int]) -> tuple[bool, set[int], _Snapshot]:
-        """(in_sync, current − base, snapshot of P): in_sync says whether P
-        equals base ∪ current, in one pass over base, which is built on the
-        attempt's first call."""
-        nonlocal base
-        if base is None:
-            base = finished_edges.union(*(factor_edges[i] for i in pending))
-        committed = gamma.committed
-        fresh = current - base
-        if (len(committed) == len(base) + len(fresh)
-                and base <= committed and fresh <= committed):
-            return True, fresh, (fresh, set())
-        return False, fresh, (committed - base, base - committed)
-
-    def first_snapshot(current: set[int]) -> _Snapshot:
-        """The snapshot of P at an attempt's start, when ``current`` is part
-        of the attempt's factor, so no pending factor shares a key with it
-        while ``disjoint`` holds."""
-        if disjoint and finished_edges.isdisjoint(current) and parts_agree(current):
-            return set(current), set()
-        return snapshot(current)[2]
-
-    def audit_step(
-        current: set[int],
-        before: _Snapshot,
-        consumed: list[tuple[int, int]],
-        returned: list[tuple[int, int]],
-    ) -> tuple[_Snapshot, set[int]]:
-        """Check the step against the committed set recomputed as base ∪
-        ``current``; the reservoir is G0 minus that set, so no G0-sized set
-        is built.  A step that closes a cycle is checked before F* joins
-        the finished edges.  Returns the snapshot of the persistent
-        committed set for the next step, and current − base.  Messages name
-        edges as sorted (u, v) tuples."""
-        plus, minus = before
-        # plus is disjoint from base, so current is when its keys outside
-        # plus are; then the parts' test stands for base's, with the same
-        # snapshot (a copy: F* keeps changing) and sizes that add up
-        if disjoint and not in_base(current - plus) and parts_agree(current):
-            fresh = set(current)
-            after = (fresh, set())
-            sizes_add_up = True
-        else:
-            in_sync, fresh, after = snapshot(current)
-            if not in_sync:
-                drift = sorted(k for k in gamma.committed ^ (base | current) if k in g0_edges)
-                if drift:
-                    audit_failures.append(
-                        f"step {step}: persistent reservoir differs from recomputation on "
-                        f"{[divmod(k, n) for k in drift]}"
-                    )
-            sizes = len(finished_edges) + len(current) + pending_size
-            sizes_add_up = sizes == len(base) + len(fresh)
-        gained, consumed_set = minus | (fresh - plus), {u * n + v for u, v in consumed}
-        if gained != consumed_set:
-            audit_failures.append(
-                f"step {step}: untraceable reservoir consumption "
-                f"{[divmod(k, n) for k in sorted(gained ^ consumed_set)]}"
-            )
-        freed, returned_set = plus - current, {u * n + v for u, v in returned}
-        if freed != returned_set:
-            audit_failures.append(
-                f"step {step}: untraceable reservoir return "
-                f"{[divmod(k, n) for k in sorted(freed ^ returned_set)]}"
-            )
-        # finished, current, the pending factors and G0 minus the committed
-        # set partition G0
-        if not (sizes_add_up and base_in_g0 and fresh <= g0_edges):
-            audit_failures.append(f"edge conservation broken at step {step}")
-        return after, fresh
-
     def attempt(fi: int, pass_no: int) -> bool:
-        nonlocal step, base, base_in_g0, pending_size, disjoint, finished_in_g0
+        nonlocal step
         pending.discard(fi)
-        if audit:
-            base = None
-            base_in_g0 = finished_in_g0 and all(factor_in_g0[i] for i in pending)
-            pending_size = sum(len(factor_edges[i]) for i in pending)
         broken, brec = break_to_path(factors[fi], n)
         transcript = [brec]
         if fi in transcripts:
@@ -547,7 +550,8 @@ def convert_all(
         fstar.discard(u * n + v)
         gamma.take(factor_edges[fi])
         gamma.give([u * n + v])
-        committed_before = first_snapshot(fstar) if audit else None
+        if auditor is not None:
+            auditor.attempt_started(fstar)
         steps_here = rot_here = 0
 
         def run(records) -> None:
@@ -613,15 +617,9 @@ def convert_all(
                            consumed=consumed_net, returned=returned_net,
                            cap=cap, within_cap=within)
             )
-            if audit:
-                committed_before, fresh = audit_step(fstar, committed_before,
-                                                     consumed_net, returned_net)
+            if auditor is not None:
+                auditor.step_ended(step, fstar, consumed_net, returned_net, done)
             if done:
-                if audit:
-                    # F* joins the finished edges, which stay disjoint from
-                    # the pending factors if F* shared no key with base
-                    disjoint = disjoint and len(fresh) == len(fstar)
-                    finished_in_g0 = finished_in_g0 and fstar <= g0_edges
                 finished_edges.update(fstar)
                 hamilton.append(list(broken.path))
         per_factor.append(
@@ -649,7 +647,7 @@ def convert_all(
         earlier_transcripts=earlier_transcripts,
         steps=step,
         g2_consumed=g2_consumed,
-        audit_failures=audit_failures,
+        audit_failures=auditor.failures if auditor is not None else [],
     )
 
 

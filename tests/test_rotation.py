@@ -6,6 +6,7 @@ import json
 import random
 import re
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,9 +28,9 @@ from hamdecomp.rotation import (
     rotate,
 )
 from hamdecomp.sampler import Params, sample_gnp, split
-from hamdecomp.twofactor import peel_all
+from hamdecomp.twofactor import TwoFactorSet, peel_all
 
-from cover_checks import broken_edges, path_edges, validate_broken
+from cover_checks import broken_edges, path_edges, validate_broken, validate_two_factors
 
 TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 
@@ -318,6 +319,20 @@ class TestRotationReach:
                     assert sizes == explicit_endpoint_sizes(broken.path, gamma), (n, q, seed)
 
 
+def scenario(n, p0, eta, seed):
+    """(params, split graphs, 2-factors) of a scenario test.  G0 and G2 are
+    sampled; the 2-factors are those the pipeline peeled from this G1 when
+    the scenario was found, read from ``scenario_factors.json`` so that a
+    change to extraction or peeling leaves the scenario in place.  They are
+    checked against G0 first, so a stale fixture fails here."""
+    params = Params(n=n, p0=p0, eta=eta, seed=seed)
+    s = split(sample_gnp(params.n, params.p0, params.seed), params)
+    fixtures = json.loads(Path(__file__).with_name("scenario_factors.json").read_text())
+    factors = fixtures[f"{n},{p0},{eta},{seed}"]
+    validate_two_factors(TwoFactorSet(host=s.g0, factors=factors))
+    return params, s, factors
+
+
 def desk_params(n=6):
     return Params(n=n, p0=0.9, eta=0.5, seed=0)
 
@@ -416,17 +431,15 @@ class TestConvertAll:
     def test_ledger_is_the_net_of_each_steps_records(self, monkeypatch):
         runs = [
             # a small state cap makes this conversion rotate and reopen a close
-            (Params(n=81, p0=0.6, eta=0.05, seed=39), {"max_states": 5}),
+            ((81, 0.6, 0.05, 39), {"max_states": 5}),
             # here factor 3 is abandoned, and its retry finishes it
-            (Params(n=56, p0=0.4, eta=0.5, seed=21), {"max_states": 2, "max_levels": 1}),
+            ((56, 0.4, 0.5, 21), {"max_states": 2, "max_levels": 1}),
         ]
         convs = []
-        for params, limits in runs:
-            s = split(sample_gnp(params.n, params.p0, params.seed), params)
-            f, r = extract_with_retry(s.g1, params.r1)
-            tf = peel_all(f, r)
+        for args, limits in runs:
+            params, s, factors = scenario(*args)
             limit_search(monkeypatch, **limits)
-            convs.append(convert_all(tf.factors, s.g0, s.g2, params))
+            convs.append(convert_all(factors, s.g0, s.g2, params))
         plain, retried = convs
         records = [rec for fi in sorted(plain.transcripts) for rec in plain.transcripts[fi]]
         assert any(rec.kind == "close" and rec.deleted for rec in records)
@@ -496,17 +509,14 @@ class TestPersistentReservoir:
         # here factors 2 and 3 are abandoned and the retry of 2 finishes
         # with an edge of 3 that no first-pass cycle took; retrying 3 would
         # break edge conservation, so it must not be attempted
-        params = Params(n=56, p0=0.4, eta=0.5, seed=549)
-        s = split(sample_gnp(params.n, params.p0, params.seed), params)
-        f, r = extract_with_retry(s.g1, params.r1)
-        tf = peel_all(f, r)
+        params, s, factors = scenario(56, 0.4, 0.5, 549)
         limit_search(monkeypatch, max_states=2, max_levels=1)
-        conv = convert_all(tf.factors, s.g0, s.g2, params, audit=True)
+        conv = convert_all(factors, s.g0, s.g2, params, audit=True)
         assert conv.audit_failures == []
         assert [(o["factor"], o["outcome"]) for o in conv.per_factor if o["outcome"] != "hamilton"
                 or o["pass"] == 2] == [(2, "abandoned"), (3, "abandoned"), (2, "hamilton")]
         # the retry finishes last, so its cycle is the last one
-        third = cycle_cover_edges(tf.factors[3])
+        third = cycle_cover_edges(factors[3])
         assert [len(cycle_cover_edges([cyc]) & third) for cyc in conv.hamilton_cycles] == [0] * (
             len(conv.hamilton_cycles) - 1) + [1]
 
@@ -847,12 +857,9 @@ def test_audit_traces_returned_edges(monkeypatch):
     # a reservoir that never gets edges back still holds what each step
     # released; the return check names those edges, in sorted order, and
     # only at steps that released some (here all but 24 and 27)
-    params = Params(n=60, p0=0.6, eta=0.3, seed=6)
-    s = split(sample_gnp(params.n, params.p0, params.seed), params)
-    f, r = extract_with_retry(s.g1, params.r1)
-    tf = peel_all(f, r)
+    params, s, factors = scenario(60, 0.6, 0.3, 6)
     monkeypatch.setattr(GammaView, "give", lambda self, edges: None)
-    conv = convert_all(tf.factors, s.g0, s.g2, params, audit=True)
+    conv = convert_all(factors, s.g0, s.g2, params, audit=True)
     returns = [msg for msg in conv.audit_failures if "untraceable reservoir return" in msg]
     steps = [int(re.search(r"step (\d+)", msg).group(1)) for msg in returns]
     assert steps == expand_steps("1-23,25-26,28-32")
@@ -931,6 +938,29 @@ def test_audit_only_observes(n, seed, limits, monkeypatch):
     assert audited.ledger == plain.ledger
     assert audited.transcripts == plain.transcripts
     assert audited.earlier_transcripts == plain.earlier_transcripts
+
+
+def test_unaudited_conversion_builds_no_audit(monkeypatch):
+    # with the audit off, conversion never constructs the audit object, so
+    # the audit costs one None test per step; this run abandons and retries
+    params, s, factors = scenario(56, 0.4, 0.5, 21)
+    limit_search(monkeypatch, 2, 1)
+    plain = convert_all(factors, s.g0, s.g2, params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unaudited conversion built the audit")
+
+    monkeypatch.setattr(rotation, "_ConversionAudit", refuse)
+    patched = convert_all(factors, s.g0, s.g2, params, audit=False)
+    assert patched.earlier_transcripts and patched.audit_failures == []
+    assert patched.hamilton_cycles == plain.hamilton_cycles
+    assert patched.per_factor == plain.per_factor
+    assert patched.ledger == plain.ledger
+    assert patched.transcripts == plain.transcripts
+    assert patched.earlier_transcripts == plain.earlier_transcripts
+    # the patch is in effect: an audited run reaches it
+    with pytest.raises(AssertionError, match="built the audit"):
+        convert_all(factors, s.g0, s.g2, params, audit=True)
 
 
 class TestReplayValidation:
