@@ -167,8 +167,14 @@ class Graph:
     # -- serialization: "n m" header then one "u v" line per edge -------------
 
     def to_text(self) -> str:
+        # each name is made once; a vertex's larger neighbours are one join
+        names = list(map(str, range(self.n)))
         lines = [f"{self.n} {self.num_edges}"]
-        lines.extend(f"{u} {v}" for u, nbrs in enumerate(self._adj) for v in nbrs if v > u)
+        for u, nbrs in enumerate(self._adj):
+            larger = nbrs[bisect_right(nbrs, u):]
+            if larger:
+                head = names[u] + " "
+                lines.append(head + ("\n" + head).join(map(names.__getitem__, larger)))
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -125,11 +125,20 @@ def hopcroft_karp(adj_x: list[list[int]], n_y: int) -> list[int]:
     degree onward, wrapping round, so that the x's do not all compete for
     the y's that head their lists (on the regular doubles the peel matches
     this leaves fewer x's free than scans from position 0, and each scan
-    ends sooner).  Each phase then searches depth-first from
-    every free x, visiting each y at most once; on entering an x it first
-    looks for a free neighbour, ``ahead[x]`` skipping for good the matched
-    ones (a matched y stays matched).  A phase with no augmentation leaves
-    no free y reachable from a free x: the matching is then maximum.
+    ends sooner); it tests the y at that start position first and slices
+    the list only when that y is taken.  When the pass leaves no x free,
+    the matching is returned before any phase is set up.  Each phase then
+    searches depth-first from every free x, visiting each y at most once;
+    on entering an x it first looks for a free neighbour, ``ahead[x]``
+    skipping for good the matched ones.  The phases keep the set of free
+    y's, and one C-level ``isdisjoint`` test of it against x's list
+    settles an x with no free neighbour: ``ahead[x]`` then jumps to the
+    end, and the scan runs only when the test says a free y is there.
+    Both shortcuts are exact because a matched y stays matched: the y's
+    before ``ahead[x]`` stay skipped, and the first free y the scan meets
+    is the one the full scan would meet, so the matching returned is the
+    same.  A phase with no augmentation leaves no free y reachable from a
+    free x: the matching is then maximum.
     """
     n_x = len(adj_x)
     match_x = [-1] * n_x
@@ -138,20 +147,30 @@ def hopcroft_karp(adj_x: list[list[int]], n_y: int) -> list[int]:
         if not heads:
             continue
         k = x % len(heads)
-        for y in heads[k:]:
-            if match_y[y] == -1:
-                match_x[x] = y
-                match_y[y] = x
-                break
-        else:
-            for y in heads[:k]:
+        y = heads[k]
+        if match_y[y] != -1:
+            for y in heads[k + 1:]:
                 if match_y[y] == -1:
-                    match_x[x] = y
-                    match_y[y] = x
                     break
+            else:
+                for y in heads[:k]:
+                    if match_y[y] == -1:
+                        break
+                else:
+                    continue
+        match_x[x] = y
+        match_y[y] = x
+    free = [x for x in range(n_x) if match_x[x] == -1]
+    if not free:
+        return match_x
+    # n_y - (n_x - len(free)) y's are free: find them with C-level scans
+    free_y: set[int] = set()
+    y = -1
+    for _ in range(n_y - n_x + len(free)):
+        y = match_y.index(-1, y + 1)
+        free_y.add(y)
     ahead = [0] * n_x
     seen = [0] * n_y
-    free = [x for x in range(n_x) if match_x[x] == -1]
     phase = 0
     while free:
         phase += 1
@@ -163,15 +182,22 @@ def hopcroft_karp(adj_x: list[list[int]], n_y: int) -> list[int]:
             while xs:
                 x = xs[-1]
                 heads, k = adj_x[x], ahead[x]
-                while k < len(heads) and match_y[heads[k]] != -1:
-                    k += 1
-                ahead[x] = k
                 if k < len(heads):
-                    ys.append(heads[k])
-                    for x, y in zip(xs, ys):
-                        match_x[x] = y
-                        match_y[y] = x
-                    break
+                    if free_y.isdisjoint(heads):
+                        ahead[x] = len(heads)
+                    else:
+                        # the y's before ahead[x] are matched, so the
+                        # free one lies at k or after it
+                        while match_y[heads[k]] != -1:
+                            k += 1
+                        ahead[x] = k
+                        y = heads[k]
+                        free_y.remove(y)
+                        ys.append(y)
+                        for x, y in zip(xs, ys):
+                            match_x[x] = y
+                            match_y[y] = x
+                        break
                 for y in its[-1]:
                     if seen[y] != phase:
                         seen[y] = phase

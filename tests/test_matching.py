@@ -1,4 +1,6 @@
 """Matching kernels against the exhaustive reference matcher."""
+import hashlib
+import json
 import random
 import sys
 from collections import deque
@@ -7,6 +9,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamdecomp import twofactor
+from hamdecomp.factors import extract_with_retry
 from hamdecomp.graph import Graph
 from hamdecomp.matching import (
     brute_max_matching_size,
@@ -14,6 +18,7 @@ from hamdecomp.matching import (
     is_perfect,
     max_matching_general,
 )
+from hamdecomp.sampler import Params, sample_gnp, split
 
 
 def _adj(g: Graph) -> list[list[int]]:
@@ -244,6 +249,51 @@ class TestMatchesTheReference:
         assert len(set(matched)) == len(matched)
         assert len(matched) == sum(y != -1 for y in ref)
         assert (-1 in match) == (-1 in ref)
+
+
+def _digest(matchings) -> str:
+    return hashlib.sha256(json.dumps(matchings, separators=(",", ":")).encode()).hexdigest()
+
+
+# SHA-256 of every round's matching in the peel of the r-factor extracted
+# from G1 at (n, p0=100/n, eta=0.25, seed), keyed by (n, seed)
+PEEL_ROUND_DIGESTS = {
+    (200, 0): "5a9ded1acecd8aa87600c46a2ed76c9d140d60c9e752223fc3094c09b468c097",
+    (200, 1): "5505845e6e581d62cfc269ef42d6e478704276a2bb188ac1c48a76c5d1f7af25",
+    (300, 0): "bb0034be369e07ddaca62818dad0b6b5f0a2ca992102a89ec5bd552642470321",
+}
+
+
+class TestPinnedOutput:
+    """Which maximum matching ``hopcroft_karp`` returns, not only its size:
+    a change to the search meant to be bit-exact must leave these
+    SHA-256 digests as they are."""
+
+    def test_seeded_cases_pinned(self):
+        # regular, regular minus one edge, and irregular with n_y != n_x
+        matchings = []
+        for seed in range(300):
+            rnd = random.Random(seed)
+            adj_x, n_y = random_matching_case(rnd, rnd.randint(1, 120), seed % 2 == 0)
+            matchings.append(hopcroft_karp(adj_x, n_y))
+        assert _digest(matchings) == (
+            "26d56740e0e402f2b3689c8022b0e17dc4c87ccc2e12d2df5317017d1a35e017")
+
+    @pytest.mark.parametrize("n, seed", sorted(PEEL_ROUND_DIGESTS))
+    def test_peel_rounds_pinned(self, monkeypatch, n, seed):
+        # every round's matching of the bipartite double the peel forms
+        rounds = []
+
+        def recording(adj_x, n_y):
+            rounds.append(hopcroft_karp(adj_x, n_y))
+            return rounds[-1]
+
+        monkeypatch.setattr(twofactor, "hopcroft_karp", recording)
+        params = Params(n=n, p0=100 / n, eta=0.25, seed=seed)
+        f, r = extract_with_retry(split(sample_gnp(n, params.p0, seed), params).g1, params.r1)
+        twofactor.peel_all(f, r)
+        assert len(rounds) == r // 2
+        assert _digest(rounds) == PEEL_ROUND_DIGESTS[n, seed]
 
 
 def _no_recursion_limit_change(monkeypatch):
