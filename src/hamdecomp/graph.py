@@ -9,6 +9,11 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
+# the largest n whose keys u·n + v (u < v < n) all fit in an int64
+_MAX_KEYED_N = 3_037_000_499
+
 
 def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
@@ -243,6 +248,58 @@ def read_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:
     if len(lines) - 1 != m:
         raise ValueError(f"header claims {m} edges, but {len(lines) - 1} edge lines follow")
     return n, edges
+
+
+def read_edge_keys(text: str) -> tuple[int, set[int]]:
+    """``read_edge_list`` with each edge (u, v), u < v, as the key u·n + v:
+    the same n, the same edges and the same ValueError.  Text as
+    ``Graph.to_text`` writes it is parsed in bulk; any other text, and any
+    text the bulk parse finds a fault in, goes through ``read_edge_list``."""
+    keyed = _bulk_edge_keys(text)
+    if keyed is not None:
+        return keyed
+    n, edges = read_edge_list(text)
+    keys: set[int] = set()
+    while edges:  # each tuple is given up as its key is made
+        u, v = edges.pop()
+        keys.add(u * n + v)
+    return n, keys
+
+
+def _bulk_edge_keys(text: str) -> tuple[int, set[int]] | None:
+    """(n, keys) of canonical text, or None: an "n m" line and then m "u v"
+    lines as ``_canonical`` checks them, with m distinct edges, no
+    self-loop, every vertex below n and n·n below 2**63."""
+    if not _canonical(text):
+        return None
+    a = np.fromstring(text, dtype=np.int64, sep=" ")
+    n, m = int(a[0]), int(a[1])
+    u, v = a[2::2], a[3::2]
+    if len(u) != m or n > _MAX_KEYED_N or (m and (a[2:].max() >= n or (u == v).any())):
+        return None
+    keys = np.minimum(u, v)
+    keys *= n
+    keys += np.maximum(u, v)
+    del a, u, v  # the key set is the read's peak: free the parse first
+    edges = set(keys.tolist())
+    return (n, edges) if len(edges) == m else None
+
+
+def _canonical(text: str) -> bool:
+    """Whether text is lines of two numbers, each of 1 to 18 ASCII digits
+    (``int`` also reads Unicode digits, numpy does not), split by one space
+    and each line ending in a newline.  The check is on the bytes, with no
+    object per line (a backtracking regex would keep one per line)."""
+    if not text.isascii():
+        return False
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # every byte below "0" is a separator; they alternate " " and "\n",
+    # with 1 to 18 digits before each, and the last byte is one
+    sep = np.flatnonzero(b < 48)
+    if len(sep) == 0 or len(sep) % 2 or sep[-1] != len(b) - 1 or b.max() > 57:
+        return False
+    gaps = np.diff(sep, prepend=-1)
+    return gaps.min() >= 2 and gaps.max() <= 19 and (b[sep].reshape(-1, 2) == (32, 10)).all()
 
 
 def balanced_orientation(g: Graph, rotate: int = 0) -> list[list[int]]:

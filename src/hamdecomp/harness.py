@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from .factors import extract_with_retry
-from .graph import Graph, read_edge_list
+from .graph import Graph, read_edge_keys
 from .rotation import ConversionResult, convert_all
 from .sampler import Params, sample_gnp, split
 from .twofactor import cycle_statistics, peel_all
@@ -218,15 +218,16 @@ def sweep(
 def verify_result(result_path: str, graph_path: str) -> dict:
     """Independent re-audit of a serialized result against its graph.
 
-    Re-reads the edge list with ``read_edge_list``, which the run itself
-    never calls, and re-checks every cycle for Hamiltonicity, edge
-    membership, and pairwise edge-disjointness without touching the
-    pipeline's own audit paths.  The result's own claims must agree with
-    what is re-read: ``achieved_cycles`` with the number of cycles and
-    ``params.n`` with the graph's vertex count.  Raises ValueError when
-    either file is malformed: a result that is not an object with an object
-    ``params`` and a list of vertex lists, or an edge list that
-    ``read_edge_list`` rejects.
+    Re-reads the edge list with ``read_edge_keys``, which the run itself
+    never calls, as keys u·n + v (u < v), and re-checks every cycle for
+    Hamiltonicity, edge membership, and pairwise edge-disjointness without
+    touching the pipeline's own audit paths; a bad edge is named as
+    (u, v).  The result's own claims must agree with what is re-read:
+    ``achieved_cycles`` with the number of cycles and ``params.n`` with
+    the graph's vertex count.  Raises ValueError when either file is
+    malformed: a result that is not an object with an object ``params``
+    and a list of vertex lists, or an edge list that ``read_edge_list``
+    rejects, with its message.
     """
     with open(result_path) as fh:
         doc = json.load(fh)
@@ -239,11 +240,11 @@ def verify_result(result_path: str, graph_path: str) -> dict:
             and all(isinstance(c, list) and all(type(v) is int for v in c)
                     for c in cycles)):
         raise ValueError("hamilton_cycles must be a list of lists of vertices")
-    n, edge_set = read_edge_list(text)
+    n, edge_keys = read_edge_keys(text)
     claimed_n = doc.get("params", {}).get("n")
     if claimed_n != n:
         return {"ok": False, "reason": f"params.n is {claimed_n} but the graph has {n} vertices"}
-    used: set[tuple[int, int]] = set()
+    used: set[int] = set()
     for idx, cyc in enumerate(cycles):
         if n < 3:
             return {"ok": False, "cycle": idx, "reason": f"no Hamilton cycle on {n} < 3 vertices"}
@@ -258,16 +259,16 @@ def verify_result(result_path: str, graph_path: str) -> dict:
         if stray:
             return {"ok": False, "cycle": idx,
                     "reason": f"vertices outside 0..{n - 1}: {stray[:5]}"}
-        es = [(u, v) if u < v else (v, u) for u, v in zip(cyc, cyc[1:] + cyc[:1])]
-        if edge_set.issuperset(es) and used.isdisjoint(es):
+        es = [u * n + v if u < v else v * n + u for u, v in zip(cyc, cyc[1:] + cyc[:1])]
+        if edge_keys.issuperset(es) and used.isdisjoint(es):
             used.update(es)
             continue
-        # the first bad edge in cycle order names the failure
+        # the first bad edge in cycle order names the failure, as (u, v)
         for e in es:
-            if e not in edge_set:
-                return {"ok": False, "cycle": idx, "reason": f"missing edge {e}"}
+            if e not in edge_keys:
+                return {"ok": False, "cycle": idx, "reason": f"missing edge {divmod(e, n)}"}
             if e in used:
-                return {"ok": False, "cycle": idx, "reason": f"edge {e} reused"}
+                return {"ok": False, "cycle": idx, "reason": f"edge {divmod(e, n)} reused"}
             used.add(e)
     # JSON true would pass for 1
     if type(doc.get("achieved_cycles")) is not int or doc["achieved_cycles"] != len(cycles):

@@ -11,7 +11,7 @@ import pytest
 
 from hamdecomp import cli, harness
 from hamdecomp.cli import EXIT_VERIFY_FAIL, main
-from hamdecomp.graph import Graph, cycle_cover_edges
+from hamdecomp.graph import Graph, _canonical, cycle_cover_edges
 from hamdecomp.harness import CSV_HEADER, _reverify, run, sweep, verify_result
 from hamdecomp.rotation import GammaView
 from hamdecomp.sampler import Params, sample_gnp
@@ -364,6 +364,36 @@ class TestVerify:
         result.write_text(json.dumps({"params": {"n": n}, "achieved_cycles": 0,
                                       "hamilton_cycles": []}))
         assert verify_result(str(result), str(graph)) == {"ok": True, "cycles": 0}
+
+    def test_a_non_canonical_graph_file_gives_the_same_verdicts(self, tmp_path, capsys):
+        # the graph as to_text writes it is read in bulk; with comments,
+        # blank lines and CRLF line ends it goes through the line walk
+        out, canonical = self._fixture(tmp_path)
+        lines = canonical.read_text().splitlines()
+        walked = tmp_path / "walked.txt"
+        walked.write_bytes("".join(f"# line {i}\r\n\r\n{ln}\r\n"
+                                   for i, ln in enumerate(lines)).encode())
+        assert _canonical(canonical.read_text()) and not _canonical(walked.read_text())
+        doc = json.loads(out.read_text())
+        first, n = doc["hamilton_cycles"][0], doc["params"]["n"]
+        g0 = Graph.from_text(canonical.read_text())
+        u, v = next((u, v) for u in range(n) for v in range(u + 1, n) if not g0.has_edge(u, v))
+        off_graph = [u, v] + [x for x in range(n) if x not in (u, v)]
+        docs = {
+            "ok": doc,
+            "missing edge": {**doc, "achieved_cycles": 2, "hamilton_cycles": [first, off_graph]},
+            "reused": {**doc, "achieved_cycles": 2, "hamilton_cycles": [first, first[::-1]]},
+            "params.n": {**doc, "params": {**doc["params"], "n": n + 1}},
+        }
+        for expected, d in docs.items():
+            out.write_text(json.dumps(d))
+            verdicts = [verify_result(str(out), str(g)) for g in (canonical, walked)]
+            assert verdicts[0] == verdicts[1], expected
+            assert expected in str(verdicts[0]), verdicts[0]
+            codes = [main(["verify", str(out), str(g)]) for g in (canonical, walked)]
+            assert codes == [0 if expected == "ok" else EXIT_VERIFY_FAIL] * 2
+            printed = capsys.readouterr().out.splitlines()
+            assert printed[0] == printed[1]
 
 
 class TestCliExitCodes:
