@@ -235,6 +235,8 @@ NON_CANONICAL_TEXTS = [
     # canonical, but its keys would overflow an int64
     "4000000000 1\n3999999998 3999999999\n",
     "3 1\n0 0000000000000000001\n",
+    # 2**64 + 1, which a parse that wraps would read as 1
+    "3 1\n0 18446744073709551617\n",
     "3 1\n0 1 2\n",
     "3 1\n0 x\n",
     "3 1\n1 1\n",
