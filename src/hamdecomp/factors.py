@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, OrientedGraph, balanced_orientation
-from .matching import bipartite_b_matching, is_perfect, max_matching_general
+from .matching import bipartite_b_matching, max_matching_general
 
 TUTTE_CAP = 12
 FLOW_FASTPATH_MIN_N = 40
@@ -248,7 +248,7 @@ def extract_r_factor(g1: Graph, r: int) -> Graph | None:
                 return f
     gadget = build_gadget(g1, r)
     match = max_matching_general(gadget.adj, init=_seed_matching(gadget))
-    if not is_perfect(match):
+    if -1 in match:
         return None
     f = gadget.matching_to_factor(match)
     _assert_regular(f, r)

@@ -7,6 +7,7 @@ import math
 import os
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -242,7 +243,8 @@ def verify_result(result_path: str, graph_path: str) -> dict:
         raise ValueError("hamilton_cycles must be a list of lists of vertices")
     n, edge_keys = read_edge_keys(text)
     claimed_n = doc.get("params", {}).get("n")
-    if claimed_n != n:
+    # 300.0 and JSON true would pass for 300 and 1
+    if type(claimed_n) is not int or claimed_n != n:
         return {"ok": False, "reason": f"params.n is {claimed_n} but the graph has {n} vertices"}
     used: set[int] = set()
     for idx, cyc in enumerate(cycles):
@@ -253,7 +255,8 @@ def verify_result(result_path: str, graph_path: str) -> dict:
             return {"ok": False, "cycle": idx,
                     "reason": f"cycle has {len(cyc)} vertices, missing {missing[:5]}"}
         if len(set(cyc)) != n:
-            dup = next(v for v in cyc if cyc.count(v) > 1)
+            counts = Counter(cyc)
+            dup = next(v for v in cyc if counts[v] > 1)
             return {"ok": False, "cycle": idx, "reason": f"repeated vertex {dup}"}
         stray = sorted(set(cyc) - set(range(n)))
         if stray:

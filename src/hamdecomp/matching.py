@@ -96,10 +96,6 @@ def max_matching_general(adj: list[list[int]], init: list[int]) -> list[int]:
     return match
 
 
-def is_perfect(match: list[int]) -> bool:
-    return all(m != -1 for m in match)
-
-
 def brute_max_matching_size(adj: list[list[int]]) -> int:
     """Exhaustive maximum matching size; reference oracle for n <= 16.
     Sizes are tried downward from n // 2, the most a matching can have: k

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import itertools
 import json
+import random
 import re
 from types import SimpleNamespace
 
@@ -306,6 +307,24 @@ class TestVerify:
         assert not verdict["ok"]
         assert "params.n" in verdict["reason"]
 
+    @pytest.mark.parametrize("graph,claimed,shown", [
+        # a float equal to the vertex count, with a valid cycle listed
+        (Graph.cycle(300), 300.0, "300.0"),
+        # JSON true equals 1 in Python
+        (Graph(1), True, "True"),
+    ])
+    def test_params_n_must_be_an_integer(self, tmp_path, graph, claimed, shown):
+        result, graph_file = tmp_path / "r.json", tmp_path / "g.txt"
+        graph_file.write_text(graph.to_text())
+        cycles = [list(range(graph.n))] if graph.n >= 3 else []
+        doc = {"params": {"n": graph.n}, "achieved_cycles": len(cycles),
+               "hamilton_cycles": cycles}
+        result.write_text(json.dumps(doc))
+        assert verify_result(str(result), str(graph_file)) == {"ok": True, "cycles": len(cycles)}
+        result.write_text(json.dumps({**doc, "params": {"n": claimed}}))
+        assert verify_result(str(result), str(graph_file)) == {
+            "ok": False, "reason": f"params.n is {shown} but the graph has {graph.n} vertices"}
+
     def test_detects_non_edge(self, tmp_path):
         out, graph_out = self._fixture(tmp_path)
         g0 = Graph.from_text(graph_out.read_text())
@@ -331,6 +350,29 @@ class TestVerify:
         out.write_text(json.dumps(doc))
         verdict = verify_result(str(out), str(graph_out))
         assert verdict == {"ok": False, "cycle": 0, "reason": f"repeated vertex {cyc[0]}"}
+
+    def test_a_repeated_vertex_is_named_in_cycle_order(self, tmp_path):
+        # the first vertex in cycle order that occurs twice is named, as by
+        # the expression next(v for v in cyc if cyc.count(v) > 1)
+        result, graph = tmp_path / "r.json", tmp_path / "g.txt"
+
+        def named(cyc):
+            n = len(cyc)
+            graph.write_text(Graph.complete(n).to_text())
+            result.write_text(json.dumps({"params": {"n": n}, "achieved_cycles": 1,
+                                          "hamilton_cycles": [cyc]}))
+            verdict = verify_result(str(result), str(graph))
+            assert verdict["ok"] is False and verdict["cycle"] == 0, verdict
+            return int(verdict["reason"].removeprefix("repeated vertex "))
+
+        # 1 repeats first, but 5 comes first in cycle order
+        assert named([5, 1, 2, 1, 5, 0]) == 5
+        rnd = random.Random(0)
+        for _ in range(60):
+            n = rnd.randint(3, 40)
+            cyc = rnd.choices(range(n), k=n)
+            if len(set(cyc)) < n:
+                assert named(cyc) == next(v for v in cyc if cyc.count(v) > 1), cyc
 
     @pytest.mark.parametrize("cycle,reason", [
         # reuses (0, 1) first, and (2, 4) is no edge further on

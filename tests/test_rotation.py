@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamdecomp import rotation
-from hamdecomp.factors import extract_with_retry
 from hamdecomp.graph import BrokenTwoFactor, Graph, cycle_cover_edges, norm_edge
 from hamdecomp.rotation import (
     GammaView,
@@ -28,7 +27,7 @@ from hamdecomp.rotation import (
     rotate,
 )
 from hamdecomp.sampler import Params, sample_gnp, split
-from hamdecomp.twofactor import TwoFactorSet, peel_all
+from hamdecomp.twofactor import TwoFactorSet
 
 from cover_checks import broken_edges, path_edges, validate_broken, validate_two_factors
 
@@ -320,11 +319,13 @@ class TestRotationReach:
 
 
 def scenario(n, p0, eta, seed):
-    """(params, split graphs, 2-factors) of a scenario test.  G0 and G2 are
-    sampled; the 2-factors are those the pipeline peeled from this G1 when
-    the scenario was found, read from ``scenario_factors.json`` so that a
-    change to extraction or peeling leaves the scenario in place.  They are
-    checked against G0 first, so a stale fixture fails here."""
+    """(params, split graphs, 2-factors) of a conversion test, and the only
+    way these tests get 2-factors.  G0 and G2 are sampled; the 2-factors
+    are read from ``scenario_factors.json``, which holds those that
+    extraction and peeling made from this G1 at ``8d9b591``, so a change to
+    extraction or peeling leaves every conversion pin in place.  They are
+    checked against G0 first, so a change to sampling or the split makes
+    this fail loudly."""
     params = Params(n=n, p0=p0, eta=eta, seed=seed)
     s = split(sample_gnp(params.n, params.p0, params.seed), params)
     fixtures = json.loads(Path(__file__).with_name("scenario_factors.json").read_text())
@@ -372,29 +373,23 @@ class TestConvertAll:
                 convert_all([], Graph(3), Graph(3), desk_params(), mode=mode)
 
     def test_pipeline_with_audit(self):
-        params = Params(n=90, p0=0.6, eta=0.3, seed=1)
-        s = split(sample_gnp(params.n, params.p0, params.seed), params)
-        f, r = extract_with_retry(s.g1, params.r1)
-        tf = peel_all(f, r)
-        conv = convert_all(tf.factors, s.g0, s.g2, params, audit=True)
+        params, s, factors = scenario(90, 0.6, 0.3, 1)
+        conv = convert_all(factors, s.g0, s.g2, params, audit=True)
         assert conv.audit_failures == []
         assert len(conv.hamilton_cycles) >= 1
         for cyc in conv.hamilton_cycles:
             assert s.g0.verify_hamilton_cycle(cyc)
 
     def test_replay_bit_exact(self):
-        params = Params(n=70, p0=0.6, eta=0.3, seed=2)
-        s = split(sample_gnp(params.n, params.p0, params.seed), params)
-        f, r = extract_with_retry(s.g1, params.r1)
-        tf = peel_all(f, r)
-        conv = convert_all(tf.factors, s.g0, s.g2, params)
+        params, s, factors = scenario(70, 0.6, 0.3, 2)
+        conv = convert_all(factors, s.g0, s.g2, params)
         finished = {
             o["factor"] for o in conv.per_factor if o["outcome"] == "hamilton"
         }
         assert finished
         done = 0
         for fi in sorted(finished):
-            final = replay(tf.factors[fi], conv.transcripts[fi], params.n)
+            final = replay(factors[fi], conv.transcripts[fi], params.n)
             assert final in conv.hamilton_cycles
             done += 1
         assert done == len(conv.hamilton_cycles)
@@ -403,10 +398,7 @@ class TestConvertAll:
     def test_conversion_and_replay_leave_the_factors_unchanged(self, audit, monkeypatch):
         # break_to_path copies the factor it is given, so neither the
         # conversion nor a replay may change the caller's cycles
-        params = Params(n=70, p0=0.6, eta=0.3, seed=2)
-        s = split(sample_gnp(params.n, params.p0, params.seed), params)
-        f, r = extract_with_retry(s.g1, params.r1)
-        factors = peel_all(f, r).factors
+        params, s, factors = scenario(70, 0.6, 0.3, 2)
         before = json.dumps(factors)
         limit_search(monkeypatch, max_states=5)
         conv = convert_all(factors, s.g0, s.g2, params, audit=audit)
@@ -417,11 +409,8 @@ class TestConvertAll:
         assert json.dumps(factors) == before
 
     def test_edges_disjoint_across_cycles(self):
-        params = Params(n=80, p0=0.7, eta=0.25, seed=3)
-        s = split(sample_gnp(params.n, params.p0, params.seed), params)
-        f, r = extract_with_retry(s.g1, params.r1)
-        tf = peel_all(f, r)
-        conv = convert_all(tf.factors, s.g0, s.g2, params)
+        params, s, factors = scenario(80, 0.7, 0.25, 3)
+        conv = convert_all(factors, s.g0, s.g2, params)
         used = set()
         for cyc in conv.hamilton_cycles:
             es = path_edges(cyc) | {(min(cyc[0], cyc[-1]), max(cyc[0], cyc[-1]))}
@@ -497,12 +486,9 @@ class TestPersistentReservoir:
     def test_audit_catches_a_reservoir_that_stops_following(self, monkeypatch):
         # a reservoir that never gets edges back drifts from the from-scratch
         # recomputation; the audit must say so
-        params = Params(n=60, p0=0.6, eta=0.3, seed=4)
-        s = split(sample_gnp(params.n, params.p0, params.seed), params)
-        f, r = extract_with_retry(s.g1, params.r1)
-        tf = peel_all(f, r)
+        params, s, factors = scenario(60, 0.6, 0.3, 4)
         monkeypatch.setattr(GammaView, "give", lambda self, edges: None)
-        conv = convert_all(tf.factors, s.g0, s.g2, params, audit=True)
+        conv = convert_all(factors, s.g0, s.g2, params, audit=True)
         assert any("persistent reservoir" in msg for msg in conv.audit_failures)
 
     def test_retry_skips_a_factor_an_earlier_retry_used(self, monkeypatch):
@@ -585,10 +571,8 @@ class TestEdgeKeys:
 
 
 # SHA-256 of the Hamilton cycles and transcripts of convert_all at n=120,
-# p0=0.5, eta=0.05, re-recorded when the factor became the orientation
-# minus a b-matching of arcs to drop and the peel's greedy scans began at
-# x mod degree; seeds 4 and 8 reach the re-anchor at the root (seed 5 no
-# longer does).
+# p0=0.5, eta=0.05, on the 2-factors of the fixture recorded at 8d9b591;
+# seeds 4 and 8 each make one search that reaches the re-anchor at the root.
 CONVERSION_DIGESTS = {
     3: "1315faf0768d009d102418c968beffa397ae6fd1f66fca3a8a5a14014c800db4",
     4: "5034bd4cf379c327762e419203a19cf203c478e71bf933716a0f7fffbd92b03f",
@@ -610,11 +594,8 @@ def record_obj(rec):
 
 @pytest.mark.parametrize("seed", sorted(CONVERSION_DIGESTS))
 def test_conversion_digest_pinned(seed):
-    params = Params(n=120, p0=0.5, eta=0.05, seed=seed)
-    s = split(sample_gnp(params.n, params.p0, params.seed), params)
-    f, r = extract_with_retry(s.g1, params.r1)
-    tf = peel_all(f, r)
-    conv = convert_all(tf.factors, s.g0, s.g2, params)
+    params, s, factors = scenario(120, 0.5, 0.05, seed)
+    conv = convert_all(factors, s.g0, s.g2, params)
     doc = {
         "cycles": conv.hamilton_cycles,
         "transcripts": [
@@ -720,13 +701,12 @@ def test_audit_of_covers_that_share_edges_pinned(covers, monkeypatch):
 
 
 # The audit's verdicts with the persistent reservoir broken on purpose, at
-# n=60, p0=0.6, eta=0.3: for each run, the steps at which each of the three
-# original audit checks reported, re-recorded when the factor became the
-# orientation minus a b-matching of arcs to drop and the peel's greedy
-# scans began at x mod degree; the take_off conservation steps re-recorded
-# when a closing step was first audited before F* joins the finished edges.
-# The give_drop7 fault drops every 7th ``give`` call, so its rows pin the
-# number of those calls too.
+# n=60, p0=0.6, eta=0.3, on the 2-factors of the fixture recorded at
+# 8d9b591: for each run, the steps at which each of the three original
+# audit checks reports.  A closing step is audited before F* joins the
+# finished edges, so take_off's conservation steps include closes that
+# reuse a finished edge.  The give_drop7 fault drops every 7th ``give``
+# call, so its rows pin the number of those calls too.
 AUDIT_KINDS = {
     "persistent reservoir differs": "drift",
     "untraceable reservoir consumption": "consumption",
@@ -806,13 +786,10 @@ def expand_steps(spec):
 
 @pytest.mark.parametrize("seed,fault", sorted(AUDIT_VERDICTS))
 def test_audit_verdicts_under_faults_pinned(seed, fault, monkeypatch):
-    params = Params(n=60, p0=0.6, eta=0.3, seed=seed)
-    s = split(sample_gnp(params.n, params.p0, params.seed), params)
-    f, r = extract_with_retry(s.g1, params.r1)
-    tf = peel_all(f, r)
+    params, s, factors = scenario(60, 0.6, 0.3, seed)
     for attr, method in reservoir_fault(fault).items():
         monkeypatch.setattr(GammaView, attr, method)
-    conv = convert_all(tf.factors, s.g0, s.g2, params, audit=True)
+    conv = convert_all(factors, s.g0, s.g2, params, audit=True)
     got = []
     for msg in conv.audit_failures:
         kind = next((k for text, k in AUDIT_KINDS.items() if text in msg), None)
@@ -835,7 +812,7 @@ def test_audit_flags_a_closed_cycle_that_reuses_a_finished_edge(seed, monkeypatc
     # with take_off nothing is committed, so a later cycle may reuse an
     # edge of an earlier one; the step that closes it must break edge
     # conservation, since its cycle's edges cannot be both finished and new
-    params, s, factors = pipeline_factors(60, seed)
+    params, s, factors = scenario(60, 0.6, 0.3, seed)
     monkeypatch.setattr(GammaView, "take", lambda self, edges: None)
     conv = convert_all(factors, s.g0, s.g2, params, audit=True)
     closing = [conv.transcripts[o["factor"]][-1].step
@@ -868,22 +845,10 @@ def test_audit_traces_returned_edges(monkeypatch):
         assert edges and edges == sorted(edges)
 
 
-def pipeline_factors(n, seed, p0=0.6, eta=0.3):
-    """(params, split graphs, 2-factors) of one small pipeline run."""
-    params = Params(n=n, p0=p0, eta=eta, seed=seed)
-    s = split(sample_gnp(params.n, params.p0, params.seed), params)
-    f, r = extract_with_retry(s.g1, params.r1)
-    return params, s, peel_all(f, r).factors
-
-
 # SHA-256 of every audited conversion's full audit_failures, Hamilton cycles
 # and per-factor outcomes under each reservoir fault, at n=48, p0=0.6,
-# eta=0.3, seeds 0-2, with the default search limits and with
-# max_states=2, max_levels=1; re-recorded when the factor became the
-# orientation minus a b-matching of arcs to drop and the peel's greedy
-# scans began at x mod degree, and again (give_swap9, take_drop5,
-# take_frees9, take_off, take_swap9) when a closing step was first audited
-# before F* joins the finished edges.
+# eta=0.3, seeds 0-2, on the 2-factors of the fixture recorded at 8d9b591,
+# with the default search limits and with max_states=2, max_levels=1.
 AUDIT_DIGESTS = {
     "none": "3e75c950a21b5b81ee76b16fc421fe7d1616f98ab4d0cb538f93ebe89f99aa05",
     "give_off": "4ac17cdcb8b1a572f276169bacfed88bf3adef06413fe83b51624ec83741f841",
@@ -901,7 +866,7 @@ AUDIT_LIMITS = [(2000, 64), (2, 1)]
 def test_audit_messages_digest_pinned(fault, monkeypatch):
     runs = []
     for seed in range(3):
-        params, s, factors = pipeline_factors(48, seed)
+        params, s, factors = scenario(48, 0.6, 0.3, seed)
         for limits in AUDIT_LIMITS:
             for attr, method in reservoir_fault(fault).items():
                 monkeypatch.setattr(GammaView, attr, method)
@@ -920,11 +885,11 @@ def test_audit_messages_digest_pinned(fault, monkeypatch):
 
 @pytest.mark.parametrize("n,seed,limits", [
     (60, 0, None), (90, 1, None), (120, 2, None),
-    # abandons five factors and retries two of them; one retry finishes
+    # abandons four factors and retries one of them, which is abandoned again
     (60, 31, (2, 1)),
 ])
 def test_audit_only_observes(n, seed, limits, monkeypatch):
-    params, s, factors = pipeline_factors(n, seed)
+    params, s, factors = scenario(n, 0.6, 0.3, seed)
     if limits:
         limit_search(monkeypatch, *limits)
     plain, audited = (
